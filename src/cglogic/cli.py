@@ -1,8 +1,9 @@
 """Command-line front end: check, sat, mc, props, gen, fuzz.
 
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, 3 resource
-cap exceeded.  Output is line-oriented text; --json switches each command to a
-single machine-readable record.
+cap exceeded (the clause cap, or a formula nested deeper than the recursive
+traversals can follow).  Output is line-oriented text; --json switches each
+command to a single machine-readable record.
 """
 
 from __future__ import annotations
@@ -305,6 +306,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ClauseCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(
+            f"error: formula nested too deeply (Python recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 3
     except (ParseError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

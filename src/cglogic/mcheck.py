@@ -20,40 +20,43 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
     their restriction to the coalition, so cost tracks the sparse table.
     """
     _check_fit(m, f)
-    everything = frozenset(m.states)
-    memo: dict[int, frozenset[str]] = {}
+    return _eval_at(m, frozenset(m.states), {}, f)
 
-    def eval_at(node: Formula) -> frozenset[str]:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        match node:
-            case Top():
-                result = everything
-            case Atom(name):
-                result = frozenset(s for s in m.states if name in m.labels[s])
-            case Not(child):
-                result = everything - eval_at(child)
-            case And(left, right):
-                result = eval_at(left) & eval_at(right)
-            case Coal(coalition, child):
-                good = eval_at(child)
-                members = sorted(coalition)
-                holds = set()
-                for state in m.states:
-                    groups: dict[tuple[str, ...], set[str]] = {}
-                    for profile, targets in m.entries(state).items():
-                        key = tuple(profile[a] for a in members)
-                        groups.setdefault(key, set()).update(targets)
-                    if any(targets <= good for targets in groups.values()):
-                        holds.add(state)
-                result = frozenset(holds)
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        memo[id(node)] = result
-        return result
 
-    return eval_at(f)
+def _eval_at(
+    m: Model, everything: frozenset[str], memo: dict[int, frozenset[str]], node: Formula
+) -> frozenset[str]:
+    # A module-level function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep the model alive until the next cyclic
+    # garbage collection.
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    match node:
+        case Top():
+            result = everything
+        case Atom(name):
+            result = frozenset(s for s in m.states if name in m.labels[s])
+        case Not(child):
+            result = everything - _eval_at(m, everything, memo, child)
+        case And(left, right):
+            result = _eval_at(m, everything, memo, left) & _eval_at(m, everything, memo, right)
+        case Coal(coalition, child):
+            good = _eval_at(m, everything, memo, child)
+            members = sorted(coalition)
+            holds = set()
+            for state in m.states:
+                groups: dict[tuple[str, ...], set[str]] = {}
+                for profile, targets in m.entries(state).items():
+                    key = tuple(profile[a] for a in members)
+                    groups.setdefault(key, set()).update(targets)
+                if any(targets <= good for targets in groups.values()):
+                    holds.add(state)
+            result = frozenset(holds)
+        case _:
+            raise TypeError(f"not a formula: {node!r}")
+    memo[id(node)] = result
+    return result
 
 
 def satisfies(m: Model, state: str, f: Formula) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,13 +161,13 @@ class Model:
                     raise ModelError(
                         f"profile {profile!r} at state {state!r} must list one action per agent"
                     )
-                for action in profile:
-                    if action not in action_set:
-                        raise ModelError(f"unknown action {action!r} at state {state!r}")
+                if not action_set.issuperset(profile):
+                    action = next(a for a in profile if a not in action_set)
+                    raise ModelError(f"unknown action {action!r} at state {state!r}")
                 targets = frozenset(targets)
-                for target in targets:
-                    if target not in state_set:
-                        raise ModelError(f"unknown outcome state {target!r} at state {state!r}")
+                if not targets <= state_set:
+                    target = next(t for t in targets if t not in state_set)
+                    raise ModelError(f"unknown outcome state {target!r} at state {state!r}")
                 if targets:
                     entries[profile] = targets
             if entries:
@@ -249,31 +250,69 @@ def coalitions(agents: int):
             yield frozenset(combo)
 
 
-def _sorted_actions(actions) -> list[JointAction]:
-    return sorted(actions, key=lambda ja: tuple(ja.items()))
-
-
 def _serial_violation(m: Model) -> Violation | None:
+    """First state where some coalition has no available joint action.
+
+    Availability for a coalition C is the projection {p|C : p in P} of the
+    state's listed profiles P.  A projection is empty exactly when P is, so
+    S holds iff every state lists at least one profile, and a state with no
+    listed profile fails for every coalition.  The witness is that state
+    with the empty coalition, the first coalition in :func:`coalitions`
+    order, which is the witness an exhaustive search over coalitions finds.
+    """
     for state in m.states:
-        for coalition in coalitions(m.agents):
-            if not available_actions(m, state, coalition):
-                return Violation("serial", state, (coalition,), ())
+        if not m.entries(state):
+            return Violation("serial", state, (frozenset(),), ())
     return None
 
 
+def independence_witness(
+    profiles,
+) -> tuple[tuple[frozenset[int], ...], tuple[JointAction, ...]] | None:
+    """Witness that a set of full profiles breaks independence, or None.
+
+    ``profiles`` holds distinct profile tuples of one length and answers
+    ``len`` and ``in``, like the keys of an outcome table.  Let P be the
+    profiles and pi_i(P) their actions for agent i.  P is always a subset of
+    the product of the pi_i(P), and independence holds iff the two are
+    equal, which a size comparison decides.  If P is a product, the
+    joint actions available to a coalition C are the product of pi_i(P) over
+    i in C, and a product is closed under merging disjoint joint actions.
+    Conversely, if merges stay available, merging singletons one agent at a
+    time builds every profile of the product, so the product lies in P.
+
+    On failure let q be the first profile of the product, in sorted order,
+    that is missing from P, and i >= 1 the least agent such that q restricted
+    to agents 0..i is not a prefix of a profile in P (q_0 is a prefix, q is
+    not listed, so i exists).  Then q restricted to 0..i-1 is available to
+    {0..i-1}, q_i is available to {i}, and their merge is not available.
+    The witness is ``((frozenset(range(i)), frozenset({i})), (q|0..i-1,
+    {i: q_i}))``.  Cost: agents times ``len(profiles)``, and on failure at
+    most ``len(profiles) + 1`` product profiles visited.
+    """
+    if not profiles:
+        return None
+    columns = [set(column) for column in zip(*profiles)]
+    if len(profiles) == math.prod(map(len, columns)):
+        return None
+    product = itertools.product(*map(sorted, columns))
+    missing = next(q for q in product if q not in profiles)
+    i = next(
+        i for i in range(1, len(missing)) if missing[: i + 1] not in {p[: i + 1] for p in profiles}
+    )
+    return (
+        (frozenset(range(i)), frozenset({i})),
+        (JointAction(enumerate(missing[:i])), JointAction({i: missing[i]})),
+    )
+
+
 def _independent_violation(m: Model) -> Violation | None:
-    coalition_list = list(coalitions(m.agents))
+    """First state whose listed profiles are not the product of their
+    per-agent projections; see :func:`independence_witness`."""
     for state in m.states:
-        avail = {c: available_actions(m, state, c) for c in coalition_list}
-        for c in coalition_list:
-            for d in coalition_list:
-                if c & d:
-                    continue
-                merged_avail = avail[c | d]
-                for ja_c in _sorted_actions(avail[c]):
-                    for ja_d in _sorted_actions(avail[d]):
-                        if ja_c.merge(ja_d) not in merged_avail:
-                            return Violation("independent", state, (c, d), (ja_c, ja_d))
+        witness = independence_witness(m.entries(state))
+        if witness is not None:
+            return Violation("independent", state, *witness)
     return None
 
 
@@ -340,28 +379,26 @@ def _model_from_doc(doc: dict) -> tuple[Model, str | None]:
     agents = doc["agents"]
     if not isinstance(agents, int) or agents < 1:
         raise ModelError("agents must be a positive integer")
-    states = [str(s) for s in doc["states"]]
-    actions = [str(a) for a in doc["actions"]]
-    atoms = [str(a) for a in doc.get("atoms", [])]
+    states = list(map(str, doc["states"]))
+    actions = list(map(str, doc["actions"]))
+    atoms = list(map(str, doc.get("atoms", [])))
     labels = {str(s): frozenset(map(str, marked)) for s, marked in doc.get("labels", {}).items()}
     for state, marked in labels.items():
         unknown = marked - set(atoms)
         if atoms and unknown:
             raise ModelError(f"label {sorted(unknown)} at state {state!r} not among declared atoms")
     table: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    seen: set[tuple[str, tuple[str, ...]]] = set()
     for entry in doc.get("outcomes", []):
         try:
             state = str(entry["state"])
-            profile = tuple(str(a) for a in entry["profile"])
-            targets = frozenset(str(t) for t in entry["to"])
+            profile = tuple(map(str, entry["profile"]))
+            targets = frozenset(map(str, entry["to"]))
         except (KeyError, TypeError) as exc:
             raise ModelError(f"bad outcome entry {entry!r}") from exc
-        key = (state, profile)
-        if key in seen:
+        row = table.setdefault(state, {})
+        if profile in row:
             raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
-        seen.add(key)
-        table.setdefault(state, {})[profile] = targets
+        row[profile] = targets
     model = Model(agents, tuple(actions), tuple(states), table, labels, tuple(atoms))
     pointed = doc.get("pointed")
     if pointed is not None:

@@ -24,6 +24,7 @@ from .models import (
     PointedModel,
     available_actions,
     coalitions,
+    independence_witness,
     profile_action,
     validate_model,
 )
@@ -171,26 +172,21 @@ def performable(bp: Blueprint, coalition) -> set[JointAction]:
 
 def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     """Regularity: listed formulas satisfiable (via the oracle), plus the
-    blueprint-level analogues of the frame properties the logic assumes."""
+    blueprint-level analogues of the frame properties the logic assumes.
+
+    Performability is the projection of the listed profiles, as availability
+    is in a model, so the model-level characterisations apply: S holds iff
+    some profile is listed, and I iff the listed profiles are the product of
+    their per-agent projections (proofs at
+    :func:`cglogic.models.independence_witness`)."""
     for formulas in bp.listing.values():
         for chi in formulas:
             if not sat(chi):
                 return False
-    coalition_list = list(coalitions(bp.agents))
-    if logic.has_S:
-        for c in coalition_list:
-            if not performable(bp, c):
-                return False
-    if logic.has_I:
-        pja = {c: performable(bp, c) for c in coalition_list}
-        for c in coalition_list:
-            for d in coalition_list:
-                if c & d:
-                    continue
-                for ja_c in pja[c]:
-                    for ja_d in pja[d]:
-                        if ja_c.merge(ja_d) not in pja[c | d]:
-                            return False
+    if logic.has_S and not bp.listing:
+        return False
+    if logic.has_I and independence_witness(bp.listing) is not None:
+        return False
     if logic.has_D:
         for formulas in bp.listing.values():
             if len(formulas) != 1:

@@ -1,5 +1,7 @@
-"""Shared test fixtures: small hand-built models, random-model pools, and the
-exhaustive small-model enumeration used as a brute-force satisfiability oracle."""
+"""Shared test fixtures: small hand-built models, random-model pools, the
+exhaustive small-model enumeration used as a brute-force satisfiability oracle,
+and the exhaustive frame-property checkers that the characterisations in
+``cglogic.models`` are tested against."""
 
 from __future__ import annotations
 
@@ -8,12 +10,17 @@ import random
 
 from cglogic import (
     ALL_LOGICS,
+    Blueprint,
     Model,
     RandomModelConfig,
+    available_actions,
+    coalitions,
     frame_properties,
+    performable,
     random_model,
     sat_states,
 )
+from cglogic.models import Violation
 
 
 def loop_model(agents=1, actions=("a",), labels=("p",), atoms=("p", "q")):
@@ -113,6 +120,103 @@ def brute_force_satisfiable(pool, f, logic) -> bool:
         props_allow(props, logic) and sat_states(model, f)
         for model, props in pool
     )
+
+
+def _sorted_actions(actions):
+    return sorted(actions, key=lambda ja: tuple(ja.items()))
+
+
+def exhaustive_serial_violation(m):
+    """Seriality by definition: every coalition has an available joint action
+    at every state.  First failure in state, then coalition order."""
+    for state in m.states:
+        for coalition in coalitions(m.agents):
+            if not available_actions(m, state, coalition):
+                return Violation("serial", state, (coalition,), ())
+    return None
+
+
+def exhaustive_independent_violation(m):
+    """Independence by definition: for all disjoint coalitions C, D, every
+    available joint action of C merges with every available one of D into an
+    available joint action of C | D.  Tries all pairs, 4^n coalition pairs
+    times the joint actions squared per state."""
+    coalition_list = list(coalitions(m.agents))
+    for state in m.states:
+        avail = {c: available_actions(m, state, c) for c in coalition_list}
+        for c in coalition_list:
+            for d in coalition_list:
+                if c & d:
+                    continue
+                for ja_c in _sorted_actions(avail[c]):
+                    for ja_d in _sorted_actions(avail[d]):
+                        if ja_c.merge(ja_d) not in avail[c | d]:
+                            return Violation("independent", state, (c, d), (ja_c, ja_d))
+    return None
+
+
+def exhaustive_blueprint_frames(bp, logic) -> bool:
+    """The frame half of ``check_regular`` by definition, over all coalitions
+    and all pairs of performable joint actions."""
+    coalition_list = list(coalitions(bp.agents))
+    pja = {c: performable(bp, c) for c in coalition_list}
+    if logic.has_S and not all(pja.values()):
+        return False
+    if logic.has_I:
+        for c in coalition_list:
+            for d in coalition_list:
+                if c & d:
+                    continue
+                for ja_c in pja[c]:
+                    for ja_d in pja[d]:
+                        if ja_c.merge(ja_d) not in pja[c | d]:
+                            return False
+    if logic.has_D and any(len(formulas) != 1 for formulas in bp.listing.values()):
+        return False
+    return True
+
+
+def _perturb(rng, listing, pool, fresh):
+    """Empty the listing, drop a profile or add one, each with some chance;
+    the result is often not a product of per-agent action sets."""
+    roll = rng.random()
+    if roll < 0.15:
+        listing.clear()
+    elif roll < 0.5 and listing:
+        del listing[rng.choice(sorted(listing))]
+    elif roll < 0.75:
+        listing[rng.choice(pool)] = fresh()
+
+
+def perturbed_model(seed):
+    """Seeded random model (1-3 agents) of a random logic, perturbed state by
+    state with :func:`_perturb`, so states without listed profiles and
+    listings that are not products both occur."""
+    rng = random.Random(seed)
+    m = random_x_model(rng.choice(ALL_LOGICS), seed, max_states=4)
+    pool = list(itertools.product(m.actions, repeat=m.agents))
+    outcomes = {state: dict(m.entries(state)) for state in m.states}
+    for listing in outcomes.values():
+        _perturb(rng, listing, pool, lambda: frozenset({rng.choice(m.states)}))
+    return Model(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
+
+
+def perturbed_blueprint(seed, formulas):
+    """Seeded blueprint (1-3 agents, 1-3 base actions) listing a random subset
+    of profiles, a product or not, each with one or two of ``formulas``."""
+    rng = random.Random(seed)
+    agents = rng.randint(1, 3)
+    base = tuple(f"n{i}" for i in range(rng.randint(1, 3)))
+    enabled = [rng.sample(base, rng.randint(1, len(base))) for _ in range(agents)]
+
+    def pick():
+        return frozenset(rng.sample(formulas, rng.randint(1, 2)))
+
+    listing = {profile: pick() for profile in itertools.product(*enabled)}
+    pool = list(itertools.product(base, repeat=agents))
+    for _ in range(rng.randint(0, 2)):
+        _perturb(rng, listing, pool, pick)
+    return Blueprint(agents, base, listing)
 
 
 ALL = ALL_LOGICS

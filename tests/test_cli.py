@@ -154,3 +154,17 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "valid"
+
+
+@pytest.mark.parametrize("command", ["check", "sat", "mc"])
+def test_deep_nesting_exit_code(capsys, tmp_path, command):
+    deep = "~" * 1200 + "p"
+    if command == "mc":
+        path = tmp_path / "loop.json"
+        save_model(helpers.loop_model(), path)
+        argv = ["mc", str(path), "s0", deep]
+    else:
+        argv = [command, "--logic", "E", "--agents", "2", deep]
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: formula nested too deeply")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -148,3 +150,17 @@ def test_box_dual_reading():
                     enables(m, s, c, ja, f) for ja in available_actions(m, s, c)
                 )
                 assert box == pointwise
+
+
+def test_sat_states_releases_the_model_without_cyclic_gc():
+    # Large models are loaded per query; evaluation must not leave them in a
+    # reference cycle that only the cyclic collector can free.
+    m = helpers.two_agent_fork()
+    alive = weakref.ref(m)
+    gc.disable()
+    try:
+        assert sat_states(m, Coal(frozenset({0}), Not(P))) == {"u"}
+        del m
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -19,8 +19,10 @@ from cglogic import (
     save_model,
     validate_model,
 )
-from cglogic.logics import D, E, LogicId, S, SID
+from cglogic.logics import D, E, I, LogicId, S, SID
 from cglogic.models import action_profile, coalitions, profile_action
+from cglogic.synth import check_regular
+from cglogic.syntax import Atom, Not
 
 
 def test_joint_action_basics():
@@ -127,7 +129,62 @@ def test_validate_independence_witness():
     report = validate_model(m, LogicId.from_string("I"))
     assert not report.passed
     assert report.violation.prop == "independent"
-    assert len(report.violation.joint_actions) == 2
+    assert report.violation.coalitions == (frozenset({0}), frozenset({1}))
+    assert report.violation.joint_actions == (JointAction({0: "x"}), JointAction({1: "y"}))
+
+
+@pytest.fixture(scope="module")
+def perturbed_models():
+    return [helpers.perturbed_model(seed) for seed in range(500)]
+
+
+def test_frame_characterisation_matches_exhaustive(perturbed_models):
+    seen = set()
+    for m in perturbed_models:
+        props = frame_properties(m)
+        serial = helpers.exhaustive_serial_violation(m)
+        independent = helpers.exhaustive_independent_violation(m)
+        assert props.serial == (serial is None)
+        assert props.independent == (independent is None)
+        assert validate_model(m, S).violation == serial
+        seen.add((m.agents, props.serial, props.independent))
+    # every agent count, and for 2 and 3 agents every combination of verdicts
+    assert {agents for agents, _, _ in seen} == {1, 2, 3}
+    for agents in (2, 3):
+        assert {(s, i) for a, s, i in seen if a == agents} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
+
+
+def test_independence_witness_is_genuine(perturbed_models):
+    failures = 0
+    for m in perturbed_models:
+        report = validate_model(m, I)
+        if report.passed:
+            continue
+        failures += 1
+        v = report.violation
+        c, d = v.coalitions
+        ja_c, ja_d = v.joint_actions
+        assert not c & d
+        assert ja_c.coalition == c and ja_d.coalition == d
+        assert ja_c in available_actions(m, v.state, c)
+        assert ja_d in available_actions(m, v.state, d)
+        assert ja_c.merge(ja_d) not in available_actions(m, v.state, c | d)
+    assert failures >= 50
+
+
+def test_check_regular_frames_match_exhaustive():
+    formulas = [Atom("p"), Not(Atom("p")), Atom("q")]
+    seen = set()
+    for seed in range(300):
+        bp = helpers.perturbed_blueprint(seed, formulas)
+        for x in ALL_LOGICS:
+            expected = helpers.exhaustive_blueprint_frames(bp, x)
+            assert check_regular(bp, x, lambda f: True) == expected, (seed, x.name)
+            seen.add((x.name, expected))
+    # E assumes no frame property; every other logic sees both verdicts
+    assert len(seen) == 2 * len(ALL_LOGICS) - 1
 
 
 def test_save_load_round_trip(tmp_path):
