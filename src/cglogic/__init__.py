@@ -28,13 +28,13 @@ from .syntax import (
 )
 from .models import (
     FrameProperties,
-    JointAction,
     Model,
     ModelError,
     PointedModel,
     RandomModelConfig,
     ValidationReport,
     available_actions,
+    coalition_table,
     coalitions,
     frame_properties,
     load_model,
@@ -71,9 +71,7 @@ from .synth import (
     RealizationError,
     build_blueprint,
     check_regular,
-    derived_listing,
     impeach,
-    performable,
     realize,
     support,
     synthesize,

@@ -23,14 +23,18 @@ from .models import (
     load_model,
     random_model,
     save_model,
+    validate_model,
 )
 from .normalform import ClauseCapError
 from .synth import synthesize
 from .syntax import ParseError, parse, random_formula, render
-from .models import validate_model
 
-# Desk-scale guidance: coalition and joint-action enumeration is exhaustive
-# over the declared action list, so keep agents <= 3, actions <= 4, states <= 8.
+# Desk-scale guidance for `check`, `sat` and `fuzz`, whose cost grows with the
+# formula: `decide._neat_subsets` tries all 2^k subsets of a clause's k
+# antecedents, and `synth.build_blueprint` enumerates |base actions|^agents
+# profiles, with one base action per antecedent and per consequent.  `mc` and
+# `props` are linear in each state's listed profiles (times the formula size
+# for `mc`) and handle models of hundreds of states.
 SCALE_NOTE = "intended for desk-scale models (agents <= 3, actions <= 4, states <= 8)"
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .models import Model, JointAction, ModelError, outcome
+from .models import Model, ModelError, coalition_table, outcome
 from .syntax import And, Atom, Coal, Formula, Not, Top, max_agent
 
 
@@ -16,8 +16,8 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
     """States at which the formula holds.
 
     Evaluation is recursive with per-subformula memoization; unlabeled atoms
-    are false.  The modal clause groups the listed profiles at each state by
-    their restriction to the coalition, so cost tracks the sparse table.
+    are false.  The modal clause takes each state's coalition table
+    (:func:`cglogic.models.coalition_table`), so cost tracks the sparse table.
     """
     _check_fit(m, f)
     return _eval_at(m, frozenset(m.states), {}, f)
@@ -44,15 +44,14 @@ def _eval_at(
         case Coal(coalition, child):
             good = _eval_at(m, everything, memo, child)
             members = sorted(coalition)
-            holds = set()
-            for state in m.states:
-                groups: dict[tuple[str, ...], set[str]] = {}
-                for profile, targets in m.entries(state).items():
-                    key = tuple(profile[a] for a in members)
-                    groups.setdefault(key, set()).update(targets)
-                if any(targets <= good for targets in groups.values()):
-                    holds.add(state)
-            result = frozenset(holds)
+            result = frozenset(
+                state
+                for state in m.states
+                if any(
+                    targets <= good
+                    for targets in coalition_table(m.entries(state), members).values()
+                )
+            )
         case _:
             raise TypeError(f"not a formula: {node!r}")
     memo[id(node)] = result
@@ -65,7 +64,7 @@ def satisfies(m: Model, state: str, f: Formula) -> bool:
     return state in sat_states(m, f)
 
 
-def ensures(m: Model, state: str, coalition, ja: JointAction, f: Formula) -> bool:
+def ensures(m: Model, state: str, coalition, ja: tuple[str, ...], f: Formula) -> bool:
     """True iff every outcome of the joint action satisfies f (vacuous on empty)."""
     out = outcome(m, state, coalition, ja)
     if not out:
@@ -73,7 +72,7 @@ def ensures(m: Model, state: str, coalition, ja: JointAction, f: Formula) -> boo
     return out <= sat_states(m, f)
 
 
-def enables(m: Model, state: str, coalition, ja: JointAction, f: Formula) -> bool:
+def enables(m: Model, state: str, coalition, ja: tuple[str, ...], f: Formula) -> bool:
     """True iff some outcome of the joint action satisfies f."""
     out = outcome(m, state, coalition, ja)
     if not out:

@@ -1,9 +1,12 @@
 """Explicit finite general concurrent game models.
 
 A model stores the grand-coalition outcome table sparsely: profiles without a
-listed entry have empty outcome.  Coalition outcomes and availability are
-derived by the union-over-extensions rule, so they can be computed by
-grouping the listed entries instead of enumerating all action profiles.
+listed entry have empty outcome.  A joint action of a coalition C is the tuple
+of its members' actions in agent order, ``tuple(p[a] for a in sorted(C))``, so
+a full profile is the grand coalition's joint action.  Coalition outcomes and
+availability are derived by the union-over-extensions rule, written once in
+:func:`coalition_table`, which groups the listed entries instead of
+enumerating all action profiles.
 """
 
 from __future__ import annotations
@@ -11,79 +14,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ModelError(ValueError):
     """Malformed model data: dangling references, duplicates, bad shapes."""
-
-
-class JointAction(Mapping):
-    """Immutable assignment of one action to each agent of a coalition."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, assignment=()):
-        self._pairs = tuple(sorted(dict(assignment).items()))
-
-    def __getitem__(self, agent):
-        for known, action in self._pairs:
-            if known == agent:
-                return action
-        raise KeyError(agent)
-
-    def __iter__(self):
-        return iter(agent for agent, _ in self._pairs)
-
-    def __len__(self):
-        return len(self._pairs)
-
-    def __hash__(self):
-        return hash(self._pairs)
-
-    def __eq__(self, other):
-        if isinstance(other, JointAction):
-            return self._pairs == other._pairs
-        if isinstance(other, Mapping):
-            return dict(self._pairs) == dict(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"JointAction({dict(self._pairs)!r})"
-
-    @property
-    def coalition(self) -> frozenset[int]:
-        return frozenset(agent for agent, _ in self._pairs)
-
-    def restrict(self, coalition) -> "JointAction":
-        return JointAction((a, v) for a, v in self._pairs if a in coalition)
-
-    def merge(self, other: "JointAction") -> "JointAction":
-        """Union of two joint actions; overlapping agents must agree."""
-        combined = dict(self._pairs)
-        for agent, action in other.items():
-            if combined.get(agent, action) != action:
-                raise ValueError(f"conflicting actions for agent {agent}")
-            combined[agent] = action
-        return JointAction(combined)
-
-    def extends(self, other: "JointAction") -> bool:
-        return all(self.get(agent) == action for agent, action in other.items())
-
-
-def profile_action(profile) -> JointAction:
-    """Full-coalition joint action from a profile tuple (agent order)."""
-    return JointAction(enumerate(profile))
-
-
-def action_profile(ja: JointAction, agents: int) -> tuple[str, ...]:
-    """Profile tuple from a full-coalition joint action."""
-    try:
-        return tuple(ja[i] for i in range(agents))
-    except KeyError as missing:
-        raise ValueError(f"joint action does not cover agent {missing}") from None
 
 
 @dataclass(frozen=True)
@@ -100,11 +36,13 @@ class Violation:
     prop: str
     state: str
     coalitions: tuple[frozenset[int], ...]
-    joint_actions: tuple[JointAction, ...]
+    joint_actions: tuple[tuple[str, ...], ...]
 
     def describe(self) -> str:
         coals = ", ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self.coalitions)
-        actions = ", ".join(repr(dict(a)) for a in self.joint_actions)
+        actions = ", ".join(
+            repr(dict(zip(sorted(c), a))) for c, a in zip(self.coalitions, self.joint_actions)
+        )
         text = f"{self.prop} fails at state {self.state!r} (coalitions {coals}"
         if actions:
             text += f"; joint actions {actions}"
@@ -216,31 +154,41 @@ def _check_coalition(m: Model, coalition) -> frozenset[int]:
     return coalition
 
 
-def outcome(m: Model, state: str, coalition, ja: JointAction) -> frozenset[str]:
+def coalition_table(table, members) -> dict[tuple[str, ...], set]:
+    """Each available joint action of a coalition, with the union of its entries.
+
+    ``table`` maps listed full profiles to nonempty sets, like a state's
+    :meth:`Model.entries` or a blueprint's listing; ``members`` is the
+    coalition in agent order.  A full profile extends a joint action exactly
+    when its projection onto the members is that joint action, so grouping
+    the listed profiles by projection gives every joint action with a
+    nonempty union over its extensions, and only those.
+    """
+    grouped: dict[tuple[str, ...], set] = {}
+    for profile, entries in table.items():
+        grouped.setdefault(tuple(profile[a] for a in members), set()).update(entries)
+    return grouped
+
+
+def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[str]:
     """Union of grand-coalition outcomes over all full profiles extending ja."""
     coalition = _check_coalition(m, coalition)
-    if frozenset(ja.keys()) != coalition:
-        raise ValueError("joint action domain must equal the coalition")
-    for action in ja.values():
+    ja = tuple(ja)
+    if len(ja) != len(coalition):
+        raise ValueError("joint action must list one action per coalition member")
+    for action in ja:
         if action not in m.actions:
             raise ModelError(f"unknown action {action!r}")
     entries = m.entries(state)
     if len(coalition) == m.agents:
-        return entries.get(action_profile(ja, m.agents), frozenset())
-    result: set[str] = set()
-    for profile, targets in entries.items():
-        if all(profile[a] == ja[a] for a in coalition):
-            result.update(targets)
-    return frozenset(result)
+        return entries.get(ja, frozenset())
+    return frozenset(coalition_table(entries, sorted(coalition)).get(ja, ()))
 
 
-def available_actions(m: Model, state: str, coalition) -> set[JointAction]:
+def available_actions(m: Model, state: str, coalition) -> set[tuple[str, ...]]:
     """Joint actions of the coalition with nonempty derived outcome."""
     coalition = _check_coalition(m, coalition)
-    found: set[JointAction] = set()
-    for profile in m.entries(state):
-        found.add(JointAction((a, profile[a]) for a in coalition))
-    return found
+    return set(coalition_table(m.entries(state), sorted(coalition)))
 
 
 def coalitions(agents: int):
@@ -268,7 +216,7 @@ def _serial_violation(m: Model) -> Violation | None:
 
 def independence_witness(
     profiles,
-) -> tuple[tuple[frozenset[int], ...], tuple[JointAction, ...]] | None:
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[str, ...], ...]] | None:
     """Witness that a set of full profiles breaks independence, or None.
 
     ``profiles`` holds distinct profile tuples of one length and answers
@@ -286,8 +234,8 @@ def independence_witness(
     to agents 0..i is not a prefix of a profile in P (q_0 is a prefix, q is
     not listed, so i exists).  Then q restricted to 0..i-1 is available to
     {0..i-1}, q_i is available to {i}, and their merge is not available.
-    The witness is ``((frozenset(range(i)), frozenset({i})), (q|0..i-1,
-    {i: q_i}))``.  Cost: agents times ``len(profiles)``, and on failure at
+    The witness is ``((frozenset(range(i)), frozenset({i})), (q[:i],
+    (q[i],)))``.  Cost: agents times ``len(profiles)``, and on failure at
     most ``len(profiles) + 1`` product profiles visited.
     """
     if not profiles:
@@ -302,7 +250,7 @@ def independence_witness(
     )
     return (
         (frozenset(range(i)), frozenset({i})),
-        (JointAction(enumerate(missing[:i])), JointAction({i: missing[i]})),
+        (missing[:i], (missing[i],)),
     )
 
 
@@ -321,7 +269,7 @@ def _deterministic_violation(m: Model) -> Violation | None:
     for state in m.states:
         for profile, targets in m.entries(state).items():
             if len(targets) > 1:
-                return Violation("deterministic", state, (full,), (profile_action(profile),))
+                return Violation("deterministic", state, (full,), (profile,))
     return None
 
 

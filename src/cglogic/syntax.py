@@ -61,10 +61,6 @@ TOP = Top()
 BOT = Not(TOP)
 
 
-def Bot() -> Formula:
-    return BOT
-
-
 def Or(left: Formula, right: Formula) -> Formula:
     return Not(And(Not(left), Not(right)))
 

@@ -5,8 +5,9 @@ A blueprint names one base action per antecedent index and one per consequent
 index of the source clause, and lists, for every full action profile over
 those base actions, finitely many formulas the profile must enable.  Realizing
 it glues a fresh root onto recursively synthesized submodels, one per listed
-formula; the root's outcome table makes exactly the performable joint actions
-available.
+formula; the root lists exactly the blueprint's listed profiles, so every
+coalition's available joint actions are those the listing derives by
+:func:`cglogic.models.coalition_table`.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ from .decide import is_neat, reduction_witness, validity_oracle
 from .logics import LogicId
 from .mcheck import enables, ensures, satisfies
 from .models import (
-    JointAction,
     Model,
     PointedModel,
     available_actions,
-    coalitions,
     independence_witness,
-    profile_action,
     validate_model,
 )
 from .normalform import (
     DEFAULT_CLAUSE_CAP,
     Literal,
     StandardConjunction,
+    _dedupe,
     basic_positive_indices,
     negate,
     to_standard_disjunctions,
@@ -82,37 +81,29 @@ class Blueprint:
         object.__setattr__(self, "listing", table)
 
 
-def support(negatives, coalition, ja: JointAction) -> frozenset[int]:
+def support(negatives, coalition, ja: tuple[str, ...]) -> frozenset[int]:
     """Antecedent indices whose coalition lies inside ``coalition`` and whose
-    members all play that index's base action; empty-coalition indices always
+    members all play that index's base action in the joint action ``ja`` (the
+    members' actions in agent order); empty-coalition indices always
     qualify."""
+    actions = dict(zip(sorted(coalition), ja))
     found = set()
     for i, (a_i, _) in enumerate(negatives):
-        if a_i <= coalition and all(ja[a] == neg_action(i) for a in a_i):
+        if a_i <= coalition and all(actions[a] == neg_action(i) for a in a_i):
             found.add(i)
     return frozenset(found)
 
 
-def impeach(ja: JointAction, n_positive: int) -> int:
+def impeach(ja: tuple[str, ...], n_positive: int) -> int:
     """Sum of the consequent indices played, modulo the consequent count."""
     if n_positive < 1:
         raise ValueError("need at least one consequent index")
     total = 0
-    for action in ja.values():
+    for action in ja:
         j = _positive_index(action)
         if j is not None:
             total += j
     return total % n_positive
-
-
-def _dedupe(parts):
-    seen = set()
-    kept = []
-    for part in parts:
-        if part not in seen:
-            seen.add(part)
-            kept.append(part)
-    return kept
 
 
 def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
@@ -131,14 +122,13 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
     basics = sorted(basic_positive_indices(sc))
     listing: dict[tuple[str, ...], frozenset[Formula]] = {}
     for profile in itertools.product(base, repeat=sc.agents):
-        ja = profile_action(profile)
-        supp = support(negatives, ag, ja)
+        supp = support(negatives, ag, profile)
         if not is_neat(supp, negatives, logic):
             continue
         phis = [negatives[i][1] for i in sorted(supp)]
         cover = frozenset().union(*(negatives[i][0] for i in supp)) if supp else frozenset()
         if logic.has_D:
-            target = impeach(ja, len(positives))
+            target = impeach(profile, len(positives))
             if not cover <= positives[target][0]:
                 target = 0
             parts = phis + [Not(positives[target][1])]
@@ -154,28 +144,13 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
     return Blueprint(sc.agents, base, listing)
 
 
-def derived_listing(bp: Blueprint, coalition, ja: JointAction) -> frozenset[Formula]:
-    """Union of the listings of all full profiles extending the joint action."""
-    collected: set[Formula] = set()
-    for profile, formulas in bp.listing.items():
-        if all(profile[a] == ja[a] for a in coalition):
-            collected.update(formulas)
-    return frozenset(collected)
-
-
-def performable(bp: Blueprint, coalition) -> set[JointAction]:
-    """Joint actions of the coalition with nonempty derived listing."""
-    return {
-        JointAction((a, profile[a]) for a in coalition) for profile in bp.listing
-    }
-
-
 def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     """Regularity: listed formulas satisfiable (via the oracle), plus the
     blueprint-level analogues of the frame properties the logic assumes.
 
-    Performability is the projection of the listed profiles, as availability
-    is in a model, so the model-level characterisations apply: S holds iff
+    A coalition's performable joint actions are the projections of the listed
+    profiles (:func:`cglogic.models.coalition_table`), as its available joint
+    actions are in a model, so the model-level characterisations apply: S holds iff
     some profile is listed, and I iff the listed profiles are the product of
     their per-agent projections (proofs at
     :func:`cglogic.models.independence_witness`)."""
@@ -274,24 +249,25 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
 
 
 def _verify_realization(model: Model, bp: Blueprint, gamma, witness_roots, logic: LogicId):
-    for coalition in coalitions(bp.agents):
-        if available_actions(model, ROOT_STATE, coalition) != performable(bp, coalition):
-            raise RealizationError(
-                f"availability at the root differs from the blueprint for coalition {sorted(coalition)}"
-            )
+    full = model.full_coalition()
+    # Every coalition's available joint actions are the projections of the
+    # root's listed profiles, and its performable ones the projections of the
+    # blueprint's, so equal profile sets give equal availability for every
+    # coalition.
+    if available_actions(model, ROOT_STATE, full) != set(bp.listing):
+        raise RealizationError("availability at the root differs from the blueprint")
     root_labels = model.labels[ROOT_STATE]
     for literal in gamma:
         if literal.positive != (literal.atom in root_labels):
             raise RealizationError(f"root does not satisfy literal {literal!r}")
-    full = model.full_coalition()
     for profile, formula, root in witness_roots:
         if not satisfies(model, root, formula):
             raise RealizationError(f"glued submodel lost its formula {render(formula)!r}")
-        if not enables(model, ROOT_STATE, full, profile_action(profile), formula):
+        if not enables(model, ROOT_STATE, full, profile, formula):
             raise RealizationError(f"profile {profile!r} fails to enable {render(formula)!r}")
     for profile, formulas in bp.listing.items():
         listed = big_or(sorted(formulas, key=render))
-        if not ensures(model, ROOT_STATE, full, profile_action(profile), listed):
+        if not ensures(model, ROOT_STATE, full, profile, listed):
             raise RealizationError(f"profile {profile!r} fails to ensure its listed disjunction")
     report = validate_model(model, logic)
     if not report.passed:

@@ -14,9 +14,9 @@ from cglogic import (
     Model,
     RandomModelConfig,
     available_actions,
+    coalition_table,
     coalitions,
     frame_properties,
-    performable,
     random_model,
     sat_states,
 )
@@ -122,8 +122,16 @@ def brute_force_satisfiable(pool, f, logic) -> bool:
     )
 
 
-def _sorted_actions(actions):
-    return sorted(actions, key=lambda ja: tuple(ja.items()))
+def merge(c, ja_c, d, ja_d):
+    """Joint action of the disjoint union c | d that plays ja_c on c and ja_d on d."""
+    actions = dict(zip(sorted(c), ja_c)) | dict(zip(sorted(d), ja_d))
+    return tuple(actions[a] for a in sorted(c | d))
+
+
+def restrict(c, ja, sub):
+    """Restriction to sub (a subset of c) of the joint action ja of c."""
+    actions = dict(zip(sorted(c), ja))
+    return tuple(actions[a] for a in sorted(sub))
 
 
 def exhaustive_serial_violation(m):
@@ -148,9 +156,9 @@ def exhaustive_independent_violation(m):
             for d in coalition_list:
                 if c & d:
                     continue
-                for ja_c in _sorted_actions(avail[c]):
-                    for ja_d in _sorted_actions(avail[d]):
-                        if ja_c.merge(ja_d) not in avail[c | d]:
+                for ja_c in sorted(avail[c]):
+                    for ja_d in sorted(avail[d]):
+                        if merge(c, ja_c, d, ja_d) not in avail[c | d]:
                             return Violation("independent", state, (c, d), (ja_c, ja_d))
     return None
 
@@ -159,7 +167,7 @@ def exhaustive_blueprint_frames(bp, logic) -> bool:
     """The frame half of ``check_regular`` by definition, over all coalitions
     and all pairs of performable joint actions."""
     coalition_list = list(coalitions(bp.agents))
-    pja = {c: performable(bp, c) for c in coalition_list}
+    pja = {c: set(coalition_table(bp.listing, sorted(c))) for c in coalition_list}
     if logic.has_S and not all(pja.values()):
         return False
     if logic.has_I:
@@ -169,7 +177,7 @@ def exhaustive_blueprint_frames(bp, logic) -> bool:
                     continue
                 for ja_c in pja[c]:
                     for ja_d in pja[d]:
-                        if ja_c.merge(ja_d) not in pja[c | d]:
+                        if merge(c, ja_c, d, ja_d) not in pja[c | d]:
                             return False
     if logic.has_D and any(len(formulas) != 1 for formulas in bp.listing.values()):
         return False

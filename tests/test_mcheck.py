@@ -7,7 +7,6 @@ import pytest
 import helpers
 from cglogic import (
     ALL_LOGICS,
-    JointAction,
     available_actions,
     enables,
     ensures,
@@ -46,7 +45,7 @@ def test_unlabeled_atoms_false():
 
 def test_ensures_enables():
     loop = helpers.loop_model(labels=("p",))
-    nobody = JointAction()
+    nobody = ()
     assert ensures(loop, "s0", frozenset(), nobody, P)
 
     empty = helpers.empty_table_model()
@@ -54,7 +53,7 @@ def test_ensures_enables():
     assert not enables(empty, "s0", frozenset(), nobody, TOP)
 
     fork = helpers.two_agent_fork()
-    both_x = JointAction({0: "x"})
+    both_x = ("x",)
     assert not ensures(fork, "s", {0}, both_x, P)  # u lacks p
     assert enables(fork, "s", {0}, both_x, P)  # t has p
 

@@ -6,7 +6,6 @@ import pytest
 import helpers
 from cglogic import (
     ALL_LOGICS,
-    JointAction,
     Model,
     ModelError,
     RandomModelConfig,
@@ -20,49 +19,38 @@ from cglogic import (
     validate_model,
 )
 from cglogic.logics import D, E, I, LogicId, S, SID
-from cglogic.models import action_profile, coalitions, profile_action
+from cglogic.models import coalitions
 from cglogic.synth import check_regular
 from cglogic.syntax import Atom, Not
 
 
-def test_joint_action_basics():
-    ja = JointAction({1: "y", 0: "x"})
-    assert ja[0] == "x" and ja[1] == "y"
-    assert ja.coalition == {0, 1}
-    assert ja == {0: "x", 1: "y"}
-    assert ja.restrict({1}) == JointAction({1: "y"})
-    assert ja.extends(JointAction({1: "y"}))
-    merged = JointAction({0: "x"}).merge(JointAction({1: "y"}))
-    assert merged == ja
-    with pytest.raises(ValueError):
-        JointAction({0: "x"}).merge(JointAction({0: "y"}))
-    assert action_profile(ja, 2) == ("x", "y")
-    assert profile_action(("x", "y")) == ja
-
-
 def test_outcome_union_over_extensions():
     m = helpers.two_agent_fork()
-    assert outcome(m, "s", {0}, JointAction({0: "x"})) == {"t", "u"}
-    assert outcome(m, "s", frozenset(), JointAction()) == {"t", "u"}
-    assert outcome(m, "s", {0, 1}, JointAction({0: "x", 1: "y"})) == {"u"}
-    assert outcome(m, "s", {0, 1}, JointAction({0: "y", 1: "y"})) == frozenset()
+    assert outcome(m, "s", {0}, ("x",)) == {"t", "u"}
+    assert outcome(m, "s", frozenset(), ()) == {"t", "u"}
+    assert outcome(m, "s", {0, 1}, ("x", "y")) == {"u"}
+    assert outcome(m, "s", {0, 1}, ("y", "y")) == frozenset()
 
 
 def test_outcome_on_empty_table():
     m = helpers.empty_table_model(agents=2, actions=("x", "y"), states=("s0", "s1"))
     for c in coalitions(2):
-        ja = JointAction({a: "x" for a in c})
+        ja = ("x",) * len(c)
         assert outcome(m, "s0", c, ja) == frozenset()
 
 
 def test_outcome_errors():
     m = helpers.loop_model()
     with pytest.raises(ModelError):
-        outcome(m, "nowhere", frozenset(), JointAction())
+        outcome(m, "nowhere", frozenset(), ())
     with pytest.raises(ModelError):
-        outcome(m, "s0", {0}, JointAction({0: "zz"}))
-    with pytest.raises(ValueError):
-        outcome(m, "s0", frozenset(), JointAction({0: "a"}))
+        outcome(m, "s0", {0}, ("zz",))
+    with pytest.raises(ModelError, match="out of range"):
+        outcome(m, "s0", {1}, ("a",))
+    with pytest.raises(ValueError, match="one action per coalition member"):
+        outcome(m, "s0", frozenset(), ("a",))
+    with pytest.raises(ValueError, match="one action per coalition member"):
+        outcome(m, "s0", {0}, ())
 
 
 def test_available_actions():
@@ -83,8 +71,8 @@ def test_available_actions():
         {},
         (),
     )
-    assert available_actions(only_xy, "s", {1}) == {JointAction({1: "y"})}
-    assert available_actions(fork, "s", {0}) == {JointAction({0: "x"})}
+    assert available_actions(only_xy, "s", {1}) == {("y",)}
+    assert available_actions(fork, "s", {0}) == {("x",)}
 
 
 def test_frame_properties_examples():
@@ -102,6 +90,9 @@ def test_frame_properties_examples():
         (),
     )
     assert frame_properties(fork1).deterministic is False
+    assert validate_model(fork1, D).violation.describe() == (
+        "deterministic fails at state 's' (coalitions {0}; joint actions {0: 'x'})"
+    )
 
 
 def test_validate_model_examples():
@@ -112,6 +103,7 @@ def test_validate_model_examples():
     assert report.violation.prop == "serial"
     assert report.violation.state == "s0"
     assert report.violation.coalitions == (frozenset(),)
+    assert report.violation.describe() == "serial fails at state 's0' (coalitions {})"
     assert validate_model(empty, D).passed
     assert validate_model(empty, E).passed
 
@@ -130,7 +122,10 @@ def test_validate_independence_witness():
     assert not report.passed
     assert report.violation.prop == "independent"
     assert report.violation.coalitions == (frozenset({0}), frozenset({1}))
-    assert report.violation.joint_actions == (JointAction({0: "x"}), JointAction({1: "y"}))
+    assert report.violation.joint_actions == (("x",), ("y",))
+    assert report.violation.describe() == (
+        "independent fails at state 's' (coalitions {0}, {1}; joint actions {0: 'x'}, {1: 'y'})"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +162,31 @@ def test_independence_witness_is_genuine(perturbed_models):
         c, d = v.coalitions
         ja_c, ja_d = v.joint_actions
         assert not c & d
-        assert ja_c.coalition == c and ja_d.coalition == d
+        assert len(ja_c) == len(c) and len(ja_d) == len(d)
         assert ja_c in available_actions(m, v.state, c)
         assert ja_d in available_actions(m, v.state, d)
-        assert ja_c.merge(ja_d) not in available_actions(m, v.state, c | d)
+        assert helpers.merge(c, ja_c, d, ja_d) not in available_actions(m, v.state, c | d)
     assert failures >= 50
+
+
+def test_coalition_table_matches_definition(perturbed_models):
+    # by definition, over the declared actions: a joint action's outcome is the
+    # union over every full profile that extends it, and it is available iff
+    # that union is nonempty
+    for m in perturbed_models:
+        full = m.full_coalition()
+        profiles = list(itertools.product(m.actions, repeat=m.agents))
+        for s in m.states:
+            entries = m.entries(s)
+            for c in coalitions(m.agents):
+                available = available_actions(m, s, c)
+                for ja in itertools.product(m.actions, repeat=len(c)):
+                    expected = set()
+                    for profile in profiles:
+                        if helpers.restrict(full, profile, c) == ja:
+                            expected |= entries.get(profile, frozenset())
+                    assert outcome(m, s, c, ja) == expected
+                    assert (ja in available) == bool(expected)
 
 
 def test_check_regular_frames_match_exhaustive():
@@ -285,15 +300,13 @@ def test_outcome_antimonotone_and_availability_restriction():
                     # restrictions of available actions stay available
                     for sub in coalitions(m.agents):
                         if sub <= c:
-                            assert ja.restrict(sub) in available_actions(m, s, sub)
+                            assert helpers.restrict(c, ja, sub) in available_actions(m, s, sub)
                     # larger coalitions with extended actions shrink outcomes
                     bigger = frozenset(rng.sample(sorted(full), rng.randint(len(c), m.agents)))
-                    bigger |= c
-                    extension = dict(ja)
-                    for agent in bigger - c:
-                        extension[agent] = rng.choice(m.actions)
-                    extended = JointAction(extension)
-                    assert outcome(m, s, bigger, extended) <= outcome(m, s, c, ja)
+                    extra = bigger - c
+                    played = tuple(rng.choice(m.actions) for _ in sorted(extra))
+                    extended = helpers.merge(c, ja, extra, played)
+                    assert outcome(m, s, c | extra, extended) <= outcome(m, s, c, ja)
 
 
 def test_model_validation_errors():

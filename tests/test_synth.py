@@ -7,7 +7,7 @@ from cglogic import ALL_LOGICS
 from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
-from cglogic.models import JointAction, available_actions, coalitions, profile_action, validate_model
+from cglogic.models import Model, available_actions, coalition_table, coalitions, validate_model
 from cglogic.normalform import (
     Literal,
     StandardConjunction,
@@ -17,12 +17,11 @@ from cglogic.normalform import (
 from cglogic.synth import (
     Blueprint,
     RealizationError,
+    _verify_realization,
     build_blueprint,
     check_regular,
-    derived_listing,
     impeach,
     neg_action,
-    performable,
     pos_action,
     realize,
     support,
@@ -52,10 +51,10 @@ AG2 = frozenset({0, 1})
 
 def test_support_examples():
     # all agents play the action of negative index 1
-    everyone_n1 = JointAction({0: neg_action(1), 1: neg_action(1)})
+    everyone_n1 = (neg_action(1), neg_action(1))
     assert support(NEGATIVES, AG2, everyone_n1) == {0, 1}
     # all agents play the positive index 0 action: only empty-coalition indices
-    everyone_p0 = JointAction({0: pos_action(0), 1: pos_action(0)})
+    everyone_p0 = (pos_action(0), pos_action(0))
     assert support(NEGATIVES, AG2, everyone_p0) == {0}
 
 
@@ -63,9 +62,9 @@ def test_support_restriction_monotone():
     rng = random.Random(2)
     base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(j) for j in range(2)]
     for _ in range(150):
-        full = JointAction({a: rng.choice(base) for a in range(2)})
+        full = tuple(rng.choice(base) for _ in range(2))
         for c in coalitions(2):
-            restricted = full.restrict(c)
+            restricted = helpers.restrict(AG2, full, c)
             assert support(NEGATIVES, c, restricted) <= support(NEGATIVES, AG2, full)
 
 
@@ -76,7 +75,7 @@ def test_support_claim_cover_and_neatness():
     base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(0)]
     for _ in range(150):
         for c in coalitions(2):
-            ja = JointAction({a: rng.choice(base) for a in c})
+            ja = tuple(rng.choice(base) for a in sorted(c))
             supp = support(NEGATIVES, c, ja)
             cover = frozenset().union(*(NEGATIVES[i][0] for i in supp)) if supp else frozenset()
             assert cover <= c
@@ -88,16 +87,16 @@ def test_support_nonempty_when_negatives_nonempty():
     rng = random.Random(6)
     base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(0), pos_action(1)]
     for _ in range(100):
-        full = JointAction({a: rng.choice(base) for a in range(2)})
+        full = tuple(rng.choice(base) for _ in range(2))
         assert support(NEGATIVES, AG2, full) != frozenset()
 
 
 def test_impeach_examples():
-    assert impeach(JointAction({0: neg_action(1), 1: neg_action(2)}), 3) == 0
-    assert impeach(JointAction({0: pos_action(1), 1: pos_action(2)}), 3) == 0
-    assert impeach(JointAction({0: pos_action(2), 1: neg_action(0)}), 3) == 2
+    assert impeach((neg_action(1), neg_action(2)), 3) == 0
+    assert impeach((pos_action(1), pos_action(2)), 3) == 0
+    assert impeach((pos_action(2), neg_action(0)), 3) == 2
     with pytest.raises(ValueError):
-        impeach(JointAction(), 0)
+        impeach((), 0)
 
 
 def spec_conjunction():
@@ -140,18 +139,17 @@ def test_blueprint_listing_nonempty_iff_support_neat():
         bp = build_blueprint(sc, x)
         for action in bp.base_actions:
             profile = (action,)
-            supp = support(sc.negatives, frozenset({0}), profile_action(profile))
+            supp = support(sc.negatives, frozenset({0}), profile)
             assert (profile in bp.listing) == is_neat(supp, sc.negatives, x)
 
 
-def test_derived_listing_and_performable():
+def test_coalition_table_on_blueprint_listing():
     bp = build_blueprint(spec_conjunction(), E)
-    nothing = JointAction()
-    assert derived_listing(bp, frozenset(), nothing) == frozenset().union(*bp.listing.values())
-    assert performable(bp, frozenset()) == {nothing}
-    assert performable(bp, frozenset({0})) == {
-        JointAction({0: a}) for a in bp.base_actions
-    }
+    # the empty coalition's one joint action derives every listed formula
+    assert coalition_table(bp.listing, []) == {(): set().union(*bp.listing.values())}
+    # one agent: the grand coalition's table is the listing itself
+    assert coalition_table(bp.listing, [0]) == bp.listing
+    assert set(coalition_table(bp.listing, [0])) == {(a,) for a in bp.base_actions}
 
 
 def test_check_regular():
@@ -193,7 +191,7 @@ def test_realize_single_submodel():
     m = pointed.model
     [target] = m.entries(pointed.state)[("n0",)]
     assert satisfies(m, target, P)
-    assert available_actions(m, pointed.state, frozenset({0})) == {JointAction({0: "n0"})}
+    assert available_actions(m, pointed.state, frozenset({0})) == {("n0",)}
 
 
 def test_realize_rejects_bad_gamma():
@@ -215,8 +213,26 @@ def test_realize_availability_matches_performable():
             if reduction_witness(clause, x, rec) is None:
                 bp = build_blueprint(negate(clause), x)
                 for c in coalitions(2):
-                    assert available_actions(pointed.model, pointed.state, c) == performable(bp, c)
+                    assert available_actions(pointed.model, pointed.state, c) == set(
+                        coalition_table(bp.listing, sorted(c))
+                    )
                 break
+
+
+def test_verify_realization_rejects_changed_root_availability():
+    bp = Blueprint(2, ("n0", "n1"), {("n0", "n0"): {P}, ("n1", "n1"): {Not(P)}})
+    pointed = realize(bp, frozenset(), lambda f: synthesize(f, E, 2), E)
+    m = pointed.model
+    _verify_realization(m, bp, frozenset(), [], E)
+    root = m.entries(pointed.state)
+    removed = {k: v for k, v in root.items() if k != ("n1", "n1")}
+    # every single agent's projection stays the same; only the grand coalition gains
+    added = {**root, ("n0", "n1"): root[("n0", "n0")]}
+    for entries in (removed, added):
+        outcomes = {**m.outcomes, pointed.state: entries}
+        tampered = Model(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
+        with pytest.raises(RealizationError, match="availability at the root differs"):
+            _verify_realization(tampered, bp, frozenset(), [], E)
 
 
 def test_synthesize_base_case():
