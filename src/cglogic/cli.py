@@ -1,14 +1,17 @@
 """Command-line front end: check, sat, mc, props, gen, fuzz.
 
-Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, 3 resource
-cap exceeded (the clause cap, or a formula nested deeper than the recursive
-traversals can follow).  Output is line-oriented text; --json switches each
-command to a single machine-readable record.
+Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
+that cannot be read or written (a missing model file, a directory, a missing
+output directory), 3 resource cap exceeded (the clause cap, or a formula
+nested deeper than the recursive traversals can follow).  Output is
+line-oriented text; --json switches each command to a single machine-readable
+record.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -35,7 +38,11 @@ from .syntax import ParseError, parse, random_formula, render
 # profiles, with one base action per antecedent and per consequent.  `mc` and
 # `props` are linear in each state's listed profiles (times the formula size
 # for `mc`) and handle models of hundreds of states.
-SCALE_NOTE = "intended for desk-scale models (agents <= 3, actions <= 4, states <= 8)"
+SCALE_NOTE = (
+    "check, sat and fuzz are intended for desk-scale formulas and countermodels"
+    " (agents <= 3, actions <= 4, small modal depth); mc and props are linear in"
+    " the model and handle models of hundreds of states"
+)
 
 
 def _emit(args, record: dict, text_lines) -> None:
@@ -239,7 +246,10 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building costs about 15 times as much as
+    # parsing, and parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="cglogic",
         description=(
@@ -317,7 +327,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (ParseError, ModelError, ValueError) as exc:
+    except (ParseError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,10 @@
-"""Semantic evaluation on models: satisfaction, ensures/enables, validity."""
+"""Semantic evaluation on models: satisfaction, ensures/enables, validity.
+
+Every query goes through :func:`sat_states`, which evaluates a formula over
+the whole model once and keeps the result on the model, so repeated
+``satisfies``/``enables``/``ensures`` calls on one model (the realization
+checks of :mod:`cglogic.synth`, one per glued witness) reuse it.
+"""
 
 from __future__ import annotations
 
@@ -15,12 +21,20 @@ def _check_fit(m: Model, f: Formula) -> None:
 def sat_states(m: Model, f: Formula) -> frozenset[str]:
     """States at which the formula holds.
 
-    Evaluation is recursive with per-subformula memoization; unlabeled atoms
-    are false.  The modal clause takes each state's coalition table
+    Results are kept on the model (``m.sat_cache``), keyed by the formula, so
+    asking again with the same or a structurally equal formula costs one
+    lookup.  Only the top-level result is kept, and only after the formula
+    passed the agent check, so a formula naming an agent the model lacks
+    raises ``ValueError`` every time.  On a miss, evaluation is recursive with
+    per-subformula memoization for that call; unlabeled atoms are false.  The
+    modal clause takes each state's coalition table
     (:func:`cglogic.models.coalition_table`), so cost tracks the sparse table.
     """
-    _check_fit(m, f)
-    return _eval_at(m, frozenset(m.states), {}, f)
+    result = m.sat_cache.get(f)
+    if result is None:
+        _check_fit(m, f)
+        result = m.sat_cache[f] = _eval_at(m, frozenset(m.states), {}, f)
+    return result
 
 
 def _eval_at(

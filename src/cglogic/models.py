@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -62,6 +62,10 @@ class Model:
     ``outcomes`` maps state -> profile tuple -> outcome set; entries with an
     empty outcome set are dropped on construction, so "listed" and
     "available with nonempty outcome" coincide.
+
+    ``sat_cache`` is :func:`cglogic.mcheck.sat_states`'s store of results,
+    formula -> satisfying states.  A model never changes, so neither do they.
+    It takes no part in construction, equality, repr or JSON.
     """
 
     agents: int
@@ -70,6 +74,7 @@ class Model:
     outcomes: dict[str, dict[tuple[str, ...], frozenset[str]]]
     labels: dict[str, frozenset[str]]
     atoms: tuple[str, ...] = ()
+    sat_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agents < 1:

@@ -168,3 +168,51 @@ def test_deep_nesting_exit_code(capsys, tmp_path, command):
     code, out, err = run(capsys, "--json", *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: formula nested too deeply")
+
+
+def test_consecutive_calls_share_no_state(capsys, tmp_path):
+    # The argument parser is built once per process; options of one call must
+    # not leak into the next.
+    code, out, _ = run(capsys, "check", "--logic", "S", "--agents", "2", "--trace", "<0>true")
+    assert code == 0 and "clause 0" in out
+    code, out, _ = run(capsys, "check", "--logic", "S", "--agents", "2", "<0>true")
+    assert code == 0 and out.strip() == "valid"
+
+    model_path = tmp_path / "model.json"
+    code, out, _ = run(capsys, "sat", "--logic", "E", "--agents", "1", "--model", str(model_path), "<0>p")
+    assert code == 0 and model_path.exists()
+    model_path.unlink()
+    code, out, _ = run(capsys, "--json", "sat", "--logic", "E", "--agents", "1", "<0>p")
+    assert code == 0 and not model_path.exists()
+    assert "model" not in json.loads(out)
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--logic", "E"])
+    assert exit_info.value.code == 2
+    code, _, err = run(capsys, "check", "--logic", "E", "--agents", "1", "p &")
+    assert code == 2 and "error" in err
+    code, out, _ = run(capsys, "--json", "check", "--logic", "E", "--agents", "1", "p | ~p")
+    assert code == 0 and json.loads(out)["result"] == "valid"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "@missing", "s0", "p"],
+        ["props", "@missing"],
+        ["mc", "@dir", "s0", "p"],
+        ["props", "@dir"],
+        ["sat", "--logic", "E", "--agents", "1", "--model", "@nodir", "<0>p"],
+        ["gen", "--logic", "E", "--out", "@nodir"],
+    ],
+    ids=["mc-missing", "props-missing", "mc-dir", "props-dir", "sat-model-nodir", "gen-out-nodir"],
+)
+def test_unreadable_or_unwritable_path_exit_code(capsys, tmp_path, argv):
+    paths = {
+        "@missing": str(tmp_path / "missing.json"),
+        "@dir": str(tmp_path),
+        "@nodir": str(tmp_path / "no" / "such" / "m.json"),
+    }
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -16,8 +16,8 @@ from cglogic import (
 )
 from cglogic.axioms import a_cea, a_naaa, a_sia, system_instances
 from cglogic.logics import E, S
-from cglogic.models import coalitions
-from cglogic.syntax import Atom, BOT, Coal, Not, TOP, random_formula
+from cglogic.models import Model, coalitions
+from cglogic.syntax import And, Atom, BOT, Coal, Not, TOP, parse, random_formula, render
 
 P = Atom("p")
 
@@ -154,6 +154,7 @@ def test_box_dual_reading():
 def test_sat_states_releases_the_model_without_cyclic_gc():
     # Large models are loaded per query; evaluation must not leave them in a
     # reference cycle that only the cyclic collector can free.
+    # The same holds once several results are kept in the model's cache.
     m = helpers.two_agent_fork()
     alive = weakref.ref(m)
     gc.disable()
@@ -161,5 +162,42 @@ def test_sat_states_releases_the_model_without_cyclic_gc():
         assert sat_states(m, Coal(frozenset({0}), Not(P))) == {"u"}
         del m
         assert alive() is None
+
+        m = helpers.two_agent_fork()
+        alive = weakref.ref(m)
+        for f in (P, Not(P), Coal(frozenset({0}), P), Coal(frozenset({0, 1}), And(P, TOP))):
+            sat_states(m, f)
+        assert len(m.sat_cache) == 4
+        del m
+        assert alive() is None
     finally:
         gc.enable()
+
+
+def test_cached_sat_states_equal_a_fresh_evaluation():
+    # A repeat query with a structurally equal formula, re-parsed into new
+    # objects, is answered from the cache, and every answer equals an
+    # evaluation on an uncached copy of the model, kept in the copy's own
+    # cache.
+    for seed in range(500):
+        m = helpers.perturbed_model(seed)
+        rng = random.Random(seed)
+        formulas = [random_formula(rng, 2, m.agents, ("p", "q")) for _ in range(3)]
+        first = [sat_states(m, f) for f in formulas]
+        for f, answer in zip(reversed(formulas), reversed(first)):
+            again = parse(render(f), m.agents)
+            assert again == f
+            assert sat_states(m, again) is answer
+            uncached = Model(m.agents, m.actions, m.states, m.outcomes, m.labels, m.atoms)
+            assert answer == sat_states(uncached, f), (seed, render(f))
+            assert uncached.sat_cache == {f: answer}
+
+
+def test_agent_check_survives_cached_formulas():
+    m = helpers.loop_model(agents=1)
+    assert sat_states(m, P) == {"s0"}
+    assert sat_states(m, Coal({0}, P)) == {"s0"}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="agent 1"):
+            sat_states(m, Coal({1}, P))
+    assert Coal({1}, P) not in m.sat_cache

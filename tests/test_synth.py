@@ -4,6 +4,7 @@ import pytest
 
 import helpers
 from cglogic import ALL_LOGICS
+from cglogic import mcheck
 from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
@@ -233,6 +234,35 @@ def test_verify_realization_rejects_changed_root_availability():
         tampered = Model(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
         with pytest.raises(RealizationError, match="availability at the root differs"):
             _verify_realization(tampered, bp, frozenset(), [], E)
+
+
+def test_verification_evaluates_each_listed_formula_once(monkeypatch):
+    # One formula listed under many profiles: the realization checks ask
+    # about it once per glued witness, but it is evaluated over the glued
+    # model once.  The provider hands out a ready model, so every evaluation
+    # counted here comes from the verification.
+    f = parse("<0>p & ~<0>q", 1)
+    pointed = synthesize(f, E, 1)
+    evaluate = mcheck._eval_at
+    fresh_memos = []
+
+    def counting(m, everything, memo, node):
+        if not memo and all(memo is not seen for seen in fresh_memos):
+            fresh_memos.append(memo)
+        return evaluate(m, everything, memo, node)
+
+    def evaluations(profiles):
+        base = tuple(neg_action(i) for i in range(profiles))
+        bp = Blueprint(1, base, {(a,): frozenset({f}) for a in base})
+        fresh_memos.clear()
+        monkeypatch.setattr(mcheck, "_eval_at", counting)
+        try:
+            realize(bp, frozenset(), lambda chi: pointed, E)
+        finally:
+            monkeypatch.setattr(mcheck, "_eval_at", evaluate)
+        return len(fresh_memos)
+
+    assert evaluations(2) == evaluations(12) >= 1
 
 
 def test_synthesize_base_case():
