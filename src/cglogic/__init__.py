@@ -34,7 +34,6 @@ from .models import (
     RandomModelConfig,
     ValidationReport,
     available_actions,
-    coalition_table,
     coalitions,
     frame_properties,
     load_model,

@@ -36,8 +36,11 @@ from .syntax import ParseError, parse, random_formula, render
 # formula: `decide._neat_subsets` tries all 2^k subsets of a clause's k
 # antecedents, and `synth.build_blueprint` enumerates |base actions|^agents
 # profiles, with one base action per antecedent and per consequent.  `mc` and
-# `props` are linear in each state's listed profiles (times the formula size
-# for `mc`) and handle models of hundreds of states.
+# `props` are linear in the model file: loading is one validating pass over its
+# outcome entries (JSON decoding is about half of a 500-state load), after
+# which states are bits of an int.  Each `<C>` node of an `mc` formula is one
+# pass over the listed profiles, each other node one mask operation, and each
+# frame check of `props` one pass; both handle models of hundreds of states.
 SCALE_NOTE = (
     "check, sat and fuzz are intended for desk-scale formulas and countermodels"
     " (agents <= 3, actions <= 4, small modal depth); mc and props are linear in"
@@ -118,7 +121,7 @@ def cmd_sat(args) -> int:
 
 def cmd_mc(args) -> int:
     model = load_model(args.model)
-    if args.state not in model.labels:
+    if args.state not in model.index:
         raise ModelError(f"unknown state {args.state!r}")
     formula = parse(args.formula, model.agents)
     verdict = satisfies(model, args.state, formula)

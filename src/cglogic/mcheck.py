@@ -1,5 +1,16 @@
 """Semantic evaluation on models: satisfaction, ensures/enables, validity.
 
+Evaluation works on the model's index form (:mod:`cglogic.models`): a set of
+states is an ``int`` whose bit i is state i.  An atom is its label mask,
+negation is complement within all states and conjunction is ``&``.  ``<C>phi``
+holds at a state when some joint action of C available there has all its
+outcomes inside phi's mask.  With ``bad`` the complement of that mask, a
+listed profile spoils the joint action it projects to when its outcome mask
+meets ``bad``; the state satisfies ``<C>phi`` when it lists a profile whose
+joint action no profile of the state spoils.  The profile-to-joint-action
+map is the coalition's :meth:`~cglogic.models.Model.projection`, computed
+once per model, so every ``<C>`` node is one pass over the listed profiles.
+
 Every query goes through :func:`sat_states`, which evaluates a formula over
 the whole model once and keeps the result on the model, so repeated
 ``satisfies``/``enables``/``ensures`` calls on one model (the realization
@@ -8,7 +19,7 @@ checks of :mod:`cglogic.synth`, one per glued witness) reuse it.
 
 from __future__ import annotations
 
-from .models import Model, ModelError, coalition_table, outcome
+from .models import Model, ModelError, outcome
 from .syntax import And, Atom, Coal, Formula, Not, Top, max_agent
 
 
@@ -25,21 +36,19 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
     asking again with the same or a structurally equal formula costs one
     lookup.  Only the top-level result is kept, and only after the formula
     passed the agent check, so a formula naming an agent the model lacks
-    raises ``ValueError`` every time.  On a miss, evaluation is recursive with
-    per-subformula memoization for that call; unlabeled atoms are false.  The
-    modal clause takes each state's coalition table
-    (:func:`cglogic.models.coalition_table`), so cost tracks the sparse table.
+    raises ``ValueError`` every time.  On a miss, evaluation is recursive
+    over state masks with per-subformula memoization for that call;
+    unlabeled atoms are false.  Only the result is turned into state names.
     """
     result = m.sat_cache.get(f)
     if result is None:
         _check_fit(m, f)
-        result = m.sat_cache[f] = _eval_at(m, frozenset(m.states), {}, f)
+        everything = (1 << len(m.states)) - 1
+        result = m.sat_cache[f] = m.names(_eval_at(m, everything, {}, f))
     return result
 
 
-def _eval_at(
-    m: Model, everything: frozenset[str], memo: dict[int, frozenset[str]], node: Formula
-) -> frozenset[str]:
+def _eval_at(m: Model, everything: int, memo: dict[int, int], node: Formula) -> int:
     # A module-level function, not a closure: a closure that calls itself is a
     # reference cycle, which would keep the model alive until the next cyclic
     # garbage collection.
@@ -50,30 +59,36 @@ def _eval_at(
         case Top():
             result = everything
         case Atom(name):
-            result = frozenset(s for s in m.states if name in m.labels[s])
+            result = m.label_masks.get(name, 0)
         case Not(child):
-            result = everything - _eval_at(m, everything, memo, child)
+            result = everything ^ _eval_at(m, everything, memo, child)
         case And(left, right):
             result = _eval_at(m, everything, memo, left) & _eval_at(m, everything, memo, right)
         case Coal(coalition, child):
-            good = _eval_at(m, everything, memo, child)
-            members = sorted(coalition)
-            result = frozenset(
-                state
-                for state in m.states
-                if any(
-                    targets <= good
-                    for targets in coalition_table(m.entries(state), members).values()
-                )
-            )
+            result = _able(m, coalition, everything ^ _eval_at(m, everything, memo, child))
         case _:
             raise TypeError(f"not a formula: {node!r}")
     memo[id(node)] = result
     return result
 
 
+def _able(m: Model, coalition, bad: int) -> int:
+    """Mask of the states where the coalition has an available joint action
+    none of whose outcomes lies in ``bad``."""
+    of_profile, _ = m.projection(coalition)
+    result = 0
+    bit = 1
+    for row in m.rows:
+        if row:
+            spoiled = {of_profile[n] for n, targets in row.items() if targets & bad}
+            if len(spoiled) < len({of_profile[n] for n in row}):
+                result |= bit
+        bit <<= 1
+    return result
+
+
 def satisfies(m: Model, state: str, f: Formula) -> bool:
-    if state not in m.labels:
+    if state not in m.index:
         raise ModelError(f"unknown state {state!r}")
     return state in sat_states(m, f)
 

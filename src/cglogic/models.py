@@ -1,20 +1,37 @@
-"""Explicit finite general concurrent game models.
+"""Explicit finite general concurrent game models, stored in index form.
 
-A model stores the grand-coalition outcome table sparsely: profiles without a
-listed entry have empty outcome.  A joint action of a coalition C is the tuple
-of its members' actions in agent order, ``tuple(p[a] for a in sorted(C))``, so
-a full profile is the grand coalition's joint action.  Coalition outcomes and
-availability are derived by the union-over-extensions rule, written once in
-:func:`coalition_table`, which groups the listed entries instead of
-enumerating all action profiles.
+State *i* of a model is bit *i* of an ``int``, so a set of states is a mask.
+Each atom's label set is one mask, and each state lists its profiles as
+small integers, each with the mask of its outcome states.  Profiles are
+numbered by their first occurrence in the model, not over actions^agents,
+because a glued countermodel carries hundreds of prefixed actions but lists
+few of their profiles.
+
+A joint action of a coalition C is the tuple of its members' actions in agent
+order, ``tuple(p[a] for a in sorted(C))``, so a full profile is the grand
+coalition's joint action.  A joint action's outcome is the union over the
+listed profiles that extend it.  :meth:`Model.projection` numbers a
+coalition's joint actions and maps every profile number onto one, once per
+model and coalition; availability, outcomes, the independence check and the
+``<C>`` clause of model checking all read it.
+
+One validating pass builds the index form.  The ``Model(...)`` constructor
+feeds it the nested outcome table and keeps that table, empty entries
+dropped, as the string view (``outcomes``, ``labels``, :meth:`Model.entries`).
+:func:`load_model` feeds it the model file's entries as they are decoded, so
+nothing is copied or checked twice, and a loaded model derives its string
+view from the index form only when something asks for it.  Model checking
+and the frame checks never read the string view: they work on masks and name
+states and joint actions only in a failure's witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -55,87 +72,234 @@ class ValidationReport:
     violation: Violation | None = None
 
 
-@dataclass(frozen=True)
+def _known(name, names) -> bool:
+    """``name in names``, false for an unhashable name such as a list read
+    from a model file."""
+    try:
+        return name in names
+    except TypeError:
+        return False
+
+
+def _bit_numbers(mask: int) -> list[int]:
+    """The numbers of the set bits of a mask, highest first."""
+    numbers = []
+    while mask:
+        n = mask.bit_length() - 1
+        numbers.append(n)
+        mask ^= 1 << n
+    return numbers
+
+
 class Model:
     """Finite general concurrent game model.
 
-    ``outcomes`` maps state -> profile tuple -> outcome set; entries with an
-    empty outcome set are dropped on construction, so "listed" and
-    "available with nonempty outcome" coincide.
+    ``Model(agents, actions, states, outcomes, labels, atoms)`` takes
+    ``outcomes`` as state -> profile tuple -> outcome states and ``labels`` as
+    state -> atoms.  Entries with an empty outcome set are dropped, so
+    "listed" and "available with nonempty outcome" coincide.  ``atoms`` is
+    the sorted union of the declared and the labelled atoms.
+
+    Index form: ``index`` maps each state to its bit number; ``profiles``
+    holds the distinct profile tuples in order of first occurrence;
+    ``rows[i]`` maps the numbers of the profiles listed at state i to their
+    outcome masks; ``label_masks`` maps each labelled atom to the mask of the
+    states it labels.  ``outcomes`` and ``labels`` are the string view of the
+    same data: the constructor's input with empty entries dropped or, for a
+    model read from a file, derived from the index form on first use.
+    Equality is structural and does not depend on how the profiles were
+    numbered.
 
     ``sat_cache`` is :func:`cglogic.mcheck.sat_states`'s store of results,
     formula -> satisfying states.  A model never changes, so neither do they.
-    It takes no part in construction, equality, repr or JSON.
+    It takes no part in equality.
     """
 
-    agents: int
-    actions: tuple[str, ...]
-    states: tuple[str, ...]
-    outcomes: dict[str, dict[tuple[str, ...], frozenset[str]]]
-    labels: dict[str, frozenset[str]]
-    atoms: tuple[str, ...] = ()
-    sat_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.agents < 1:
+    def __init__(self, agents, actions, states, outcomes, labels, atoms=()):
+        # The string view is the given table with empty entries dropped,
+        # collected while the validating pass reads it.  Deriving it from the
+        # masks instead took 80 ms rather than 7 ms for the tables of the
+        # benchmark's 15 set-up models.
+        table: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
+
+        def entries():
+            for state, row in outcomes.items():
+                listed = table[state] = {}
+                for profile, targets in row.items():
+                    targets = frozenset(targets)
+                    if targets:
+                        listed[profile] = targets
+                    yield state, profile, targets
+
+        self._index(agents, actions, states, entries(), labels.items(), atoms)
+        if not self.index.keys() >= outcomes.keys():
+            state = next(s for s in outcomes if s not in self.index)
+            raise ModelError(f"outcome entry for unknown state {state!r}")
+        self.outcomes = {state: listed for state, listed in table.items() if listed}
+        self.labels = {state: frozenset(labels.get(state, ())) for state in self.states}
+
+    @classmethod
+    def _from_entries(cls, agents, actions, states, entries, labels, atoms) -> Model:
+        """Model from flat (state, profile tuple, outcome states) entries and
+        (state, atoms) label pairs, as a model file lists them."""
+        model = cls.__new__(cls)
+        model._index(agents, actions, states, entries, labels, atoms)
+        return model
+
+    def _index(self, agents, actions, states, entries, labels, atoms) -> None:
+        """The one validating pass that builds the index form.
+
+        A profile is checked when it first occurs; later occurrences are one
+        dictionary lookup.  A (state, profile) pair may occur once, even with
+        an empty outcome set.
+        """
+        if agents < 1:
             raise ModelError("a model needs at least one agent")
-        states = tuple(self.states)
-        actions = tuple(self.actions)
+        states = tuple(states)
+        actions = tuple(actions)
         if not states:
             raise ModelError("a model needs at least one state")
         if not actions:
             raise ModelError("a model needs at least one action")
-        if len(set(states)) != len(states):
+        index = {state: i for i, state in enumerate(states)}
+        if len(index) != len(states):
             raise ModelError("duplicate state names")
-        if len(set(actions)) != len(actions):
+        action_set = frozenset(actions)
+        if len(action_set) != len(actions):
             raise ModelError("duplicate action names")
-        state_set = set(states)
-        action_set = set(actions)
+        bit = {state: 1 << i for i, state in enumerate(states)}
 
-        table: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-        for state in self.outcomes:
-            if state not in state_set:
+        numbers: dict[tuple[str, ...], int] = {}
+        profiles: list[tuple[str, ...]] = []
+        rows: list[dict[int, int]] = [{} for _ in states]
+        row_of = dict(zip(states, rows))
+        emptied = False
+        for state, profile, targets in entries:
+            row = row_of.get(state)
+            if row is None:
                 raise ModelError(f"outcome entry for unknown state {state!r}")
-        for state in states:
-            entries = {}
-            for profile, targets in sorted(self.outcomes.get(state, {}).items()):
-                profile = tuple(profile)
-                if len(profile) != self.agents:
+            try:
+                number = numbers[profile]
+            except (KeyError, TypeError):
+                if len(profile) != agents:
                     raise ModelError(
                         f"profile {profile!r} at state {state!r} must list one action per agent"
-                    )
-                if not action_set.issuperset(profile):
-                    action = next(a for a in profile if a not in action_set)
-                    raise ModelError(f"unknown action {action!r} at state {state!r}")
-                targets = frozenset(targets)
-                if not targets <= state_set:
-                    target = next(t for t in targets if t not in state_set)
-                    raise ModelError(f"unknown outcome state {target!r} at state {state!r}")
-                if targets:
-                    entries[profile] = targets
-            if entries:
-                table[state] = entries
+                    ) from None
+                for action in profile:
+                    if not _known(action, action_set):
+                        raise ModelError(f"unknown action {action!r} at state {state!r}") from None
+                number = numbers[profile] = len(profiles)
+                profiles.append(profile)
+            if number in row:
+                raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
+            mask = 0
+            try:
+                for target in targets:
+                    mask |= bit[target]
+            except (KeyError, TypeError):
+                target = next(t for t in targets if not _known(t, bit))
+                raise ModelError(f"unknown outcome state {target!r} at state {state!r}") from None
+            row[number] = mask
+            if not mask:
+                emptied = True
+        if emptied:
+            rows = [{number: mask for number, mask in row.items() if mask} for row in rows]
 
-        labels: dict[str, frozenset[str]] = {}
-        atom_pool = set(self.atoms)
-        for state in self.labels:
-            if state not in state_set:
+        label_masks: dict[str, int] = {}
+        for state, marked in labels:
+            b = bit.get(state)
+            if b is None:
                 raise ModelError(f"labels for unknown state {state!r}")
-        for state in states:
-            marked = frozenset(self.labels.get(state, ()))
-            atom_pool.update(marked)
-            labels[state] = marked
+            for atom in marked:
+                label_masks[atom] = label_masks.get(atom, 0) | b
 
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "outcomes", table)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "atoms", tuple(sorted(atom_pool)))
+        self.agents = agents
+        self.actions = actions
+        self.states = states
+        self.atoms = tuple(sorted(label_masks.keys() | set(atoms)))
+        self.index = index
+        self.profiles = tuple(profiles)
+        self.rows = tuple(rows)
+        self.label_masks = label_masks
+        self.sat_cache: dict = {}
+        self._projections: dict = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Model):
+            return NotImplemented
+        return (
+            (self.agents, self.actions, self.states, self.atoms, self.label_masks)
+            == (other.agents, other.actions, other.states, other.atoms, other.label_masks)
+            and self._keyed_rows() == other._keyed_rows()
+        )
+
+    def _keyed_rows(self) -> list[dict[tuple[str, ...], int]]:
+        profiles = self.profiles
+        return [{profiles[n]: mask for n, mask in row.items()} for row in self.rows]
+
+    def __repr__(self) -> str:
+        return (
+            f"Model(agents={self.agents!r}, actions={self.actions!r}, states={self.states!r},"
+            f" outcomes={self.outcomes!r}, labels={self.labels!r}, atoms={self.atoms!r})"
+        )
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The states of a mask, by name."""
+        return frozenset(map(self.states.__getitem__, _bit_numbers(mask)))
+
+    def number(self, state: str) -> int:
+        """A state's bit number."""
+        number = self.index.get(state)
+        if number is None:
+            raise ModelError(f"unknown state {state!r}")
+        return number
+
+    def projection(self, coalition) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
+        """The coalition's projection of the model's distinct profiles.
+
+        Returns, for each profile number, the number of the joint action the
+        profile projects to, and the joint actions by number.  Computed once
+        per model and coalition; the coalition must be in range.  The grand
+        coalition's joint actions are the profiles themselves.
+        """
+        coalition = frozenset(coalition)
+        if len(coalition) == self.agents:
+            return range(len(self.profiles)), self.profiles
+        known = self._projections.get(coalition)
+        if known is None:
+            profiles = self.profiles
+            columns = [[p[a] for p in profiles] for a in sorted(coalition)]
+            keys = list(zip(*columns)) if columns else [()] * len(profiles)
+            joint = dict(zip(dict.fromkeys(keys), itertools.count()))
+            of_profile = tuple(map(joint.__getitem__, keys))
+            known = self._projections[coalition] = (of_profile, tuple(joint))
+        return known
+
+    @functools.cached_property
+    def outcomes(self) -> dict[str, dict[tuple[str, ...], frozenset[str]]]:
+        """String view of a loaded model: state -> listed profile -> outcome
+        states, states without a listed profile left out."""
+        profiles, names = self.profiles, self.names
+        return {
+            state: {profiles[n]: names(mask) for n, mask in row.items()}
+            for state, row in zip(self.states, self.rows)
+            if row
+        }
+
+    @functools.cached_property
+    def labels(self) -> dict[str, frozenset[str]]:
+        """String view of a loaded model: state -> the atoms true there."""
+        marked: list[set[str]] = [set() for _ in self.states]
+        for atom, mask in self.label_masks.items():
+            for i in _bit_numbers(mask):
+                marked[i].add(atom)
+        return {state: frozenset(atoms) for state, atoms in zip(self.states, marked)}
 
     def entries(self, state: str) -> dict[tuple[str, ...], frozenset[str]]:
         """Listed (nonempty-outcome) profiles at a state."""
-        if state not in self.labels:
-            raise ModelError(f"unknown state {state!r}")
+        self.number(state)
         return self.outcomes.get(state, {})
 
     def full_coalition(self) -> frozenset[int]:
@@ -148,7 +312,7 @@ class PointedModel:
     state: str
 
     def __post_init__(self):
-        if self.state not in self.model.labels:
+        if not _known(self.state, self.model.index):
             raise ModelError(f"pointed state {self.state!r} not in model")
 
 
@@ -157,22 +321,6 @@ def _check_coalition(m: Model, coalition) -> frozenset[int]:
     if not all(0 <= a < m.agents for a in coalition):
         raise ModelError(f"coalition {sorted(coalition)} out of range for {m.agents} agent(s)")
     return coalition
-
-
-def coalition_table(table, members) -> dict[tuple[str, ...], set]:
-    """Each available joint action of a coalition, with the union of its entries.
-
-    ``table`` maps listed full profiles to nonempty sets, like a state's
-    :meth:`Model.entries` or a blueprint's listing; ``members`` is the
-    coalition in agent order.  A full profile extends a joint action exactly
-    when its projection onto the members is that joint action, so grouping
-    the listed profiles by projection gives every joint action with a
-    nonempty union over its extensions, and only those.
-    """
-    grouped: dict[tuple[str, ...], set] = {}
-    for profile, entries in table.items():
-        grouped.setdefault(tuple(profile[a] for a in members), set()).update(entries)
-    return grouped
 
 
 def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[str]:
@@ -184,16 +332,23 @@ def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[s
     for action in ja:
         if action not in m.actions:
             raise ModelError(f"unknown action {action!r}")
-    entries = m.entries(state)
     if len(coalition) == m.agents:
-        return entries.get(ja, frozenset())
-    return frozenset(coalition_table(entries, sorted(coalition)).get(ja, ()))
+        return m.entries(state).get(ja, frozenset())
+    row = m.rows[m.number(state)]
+    of_profile, joint = m.projection(coalition)
+    mask = 0
+    for n, targets in row.items():
+        if joint[of_profile[n]] == ja:
+            mask |= targets
+    return m.names(mask)
 
 
 def available_actions(m: Model, state: str, coalition) -> set[tuple[str, ...]]:
     """Joint actions of the coalition with nonempty derived outcome."""
     coalition = _check_coalition(m, coalition)
-    return set(coalition_table(m.entries(state), sorted(coalition)))
+    row = m.rows[m.number(state)]
+    of_profile, joint = m.projection(coalition)
+    return {joint[of_profile[n]] for n in row}
 
 
 def coalitions(agents: int):
@@ -213,8 +368,8 @@ def _serial_violation(m: Model) -> Violation | None:
     with the empty coalition, the first coalition in :func:`coalitions`
     order, which is the witness an exhaustive search over coalitions finds.
     """
-    for state in m.states:
-        if not m.entries(state):
+    for state, row in zip(m.states, m.rows):
+        if not row:
             return Violation("serial", state, (frozenset(),), ())
     return None
 
@@ -261,20 +416,27 @@ def independence_witness(
 
 def _independent_violation(m: Model) -> Violation | None:
     """First state whose listed profiles are not the product of their
-    per-agent projections; see :func:`independence_witness`."""
-    for state in m.states:
-        witness = independence_witness(m.entries(state))
-        if witness is not None:
+    per-agent projections, decided by counting: the per-agent projections
+    are the singleton coalitions' :meth:`Model.projection`.  The witness is
+    built from the failing state's profiles alone; see
+    :func:`independence_witness`."""
+    singles = [m.projection((a,))[0] for a in range(m.agents)]
+    for state, row in zip(m.states, m.rows):
+        if len(row) > 1 and len(row) != math.prod(len({s[n] for n in row}) for s in singles):
+            witness = independence_witness({m.profiles[n] for n in row})
             return Violation("independent", state, *witness)
     return None
 
 
 def _deterministic_violation(m: Model) -> Violation | None:
-    full = m.full_coalition()
-    for state in m.states:
-        for profile, targets in m.entries(state).items():
-            if len(targets) > 1:
-                return Violation("deterministic", state, (full,), (profile,))
+    """First state with a profile of more than one outcome; the witness is
+    its least such profile."""
+    if all(mask.bit_count() <= 1 for row in m.rows for mask in row.values()):
+        return None
+    for state, row in zip(m.states, m.rows):
+        forked = [m.profiles[n] for n, mask in row.items() if mask.bit_count() > 1]
+        if forked:
+            return Violation("deterministic", state, (m.full_coalition(),), (min(forked),))
     return None
 
 
@@ -313,52 +475,83 @@ def _model_to_doc(m: Model, pointed: str | None) -> dict:
         "outcomes": [
             {"state": state, "profile": list(profile), "to": sorted(targets)}
             for state in m.states
-            for profile, targets in sorted(m.entries(state).items())
+            for profile, targets in sorted(m.outcomes.get(state, {}).items())
         ],
     }
     if pointed is not None:
-        if pointed not in m.labels:
+        if not _known(pointed, m.index):
             raise ModelError(f"pointed state {pointed!r} not in model")
         doc["pointed"] = pointed
     return doc
 
 
-def _model_from_doc(doc: dict) -> tuple[Model, str | None]:
+def _doc_names(doc: dict, key: str) -> list[str]:
+    names = doc.get(key, [])
+    if type(names) is not list or not all(type(name) is str for name in names):
+        raise ModelError(f"{key!r} must be a list of names (strings)")
+    return names
+
+
+def _doc_entries(outcomes: list):
+    """The file's outcome entries as (state, profile tuple, outcome states),
+    each checked for its JSON shape; names are checked by the model's
+    validating pass."""
+    for entry in outcomes:
+        try:
+            state, profile, targets = entry["state"], entry["profile"], entry["to"]
+        except (KeyError, TypeError) as exc:
+            raise ModelError(f"bad outcome entry {entry!r}") from exc
+        if type(state) is not str or type(profile) is not list or type(targets) is not list:
+            raise ModelError(f"bad outcome entry {entry!r}")
+        yield state, tuple(profile), targets
+
+
+def _doc_labels(labels: dict, declared: set[str]):
+    """The file's label sets as (state, atoms), each a list of strings and,
+    when the file declares atoms, among them."""
+    for state, marked in labels.items():
+        if type(marked) is not list or not all(type(atom) is str for atom in marked):
+            raise ModelError(f"labels at state {state!r} must be a list of atom names (strings)")
+        if declared and not declared.issuperset(marked):
+            unknown = sorted(set(marked) - declared)
+            raise ModelError(f"label {unknown} at state {state!r} not among declared atoms")
+        yield state, marked
+
+
+def _model_from_doc(doc) -> tuple[Model, str | None]:
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a JSON object")
     for key in ("agents", "actions", "states"):
         if key not in doc:
             raise ModelError(f"model file is missing {key!r}")
     agents = doc["agents"]
-    if not isinstance(agents, int) or agents < 1:
+    # JSON true decodes to a bool, which Python counts as the int 1.
+    if type(agents) is not int or agents < 1:
         raise ModelError("agents must be a positive integer")
-    states = list(map(str, doc["states"]))
-    actions = list(map(str, doc["actions"]))
-    atoms = list(map(str, doc.get("atoms", [])))
-    labels = {str(s): frozenset(map(str, marked)) for s, marked in doc.get("labels", {}).items()}
-    for state, marked in labels.items():
-        unknown = marked - set(atoms)
-        if atoms and unknown:
-            raise ModelError(f"label {sorted(unknown)} at state {state!r} not among declared atoms")
-    table: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    for entry in doc.get("outcomes", []):
-        try:
-            state = str(entry["state"])
-            profile = tuple(map(str, entry["profile"]))
-            targets = frozenset(map(str, entry["to"]))
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"bad outcome entry {entry!r}") from exc
-        row = table.setdefault(state, {})
-        if profile in row:
-            raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
-        row[profile] = targets
-    model = Model(agents, tuple(actions), tuple(states), table, labels, tuple(atoms))
+    states = _doc_names(doc, "states")
+    actions = _doc_names(doc, "actions")
+    atoms = _doc_names(doc, "atoms")
+    labels = doc.get("labels", {})
+    if type(labels) is not dict:
+        raise ModelError("'labels' must be an object mapping states to lists of atoms")
+    outcomes = doc.get("outcomes", [])
+    if type(outcomes) is not list:
+        raise ModelError("'outcomes' must be a list of entries")
+    model = Model._from_entries(
+        agents, actions, states, _doc_entries(outcomes), _doc_labels(labels, set(atoms)), atoms
+    )
     pointed = doc.get("pointed")
-    if pointed is not None:
-        pointed = str(pointed)
-        if pointed not in model.labels:
-            raise ModelError(f"pointed state {pointed!r} not in model")
+    if pointed is not None and not (type(pointed) is str and pointed in model.index):
+        raise ModelError(f"pointed state {pointed!r} not in model")
     return model, pointed
+
+
+def _read_model_file(path) -> tuple[Model, str | None]:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"not valid JSON: {exc}") from exc
+    return _model_from_doc(doc)
 
 
 def save_model(m: Model, path, pointed: str | None = None) -> None:
@@ -367,20 +560,12 @@ def save_model(m: Model, path, pointed: str | None = None) -> None:
 
 
 def load_model(path) -> Model:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"not valid JSON: {exc}") from exc
-    model, _ = _model_from_doc(doc)
+    model, _ = _read_model_file(path)
     return model
 
 
 def load_pointed_model(path) -> PointedModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"not valid JSON: {exc}") from exc
-    model, pointed = _model_from_doc(doc)
+    model, pointed = _read_model_file(path)
     if pointed is None:
         raise ModelError("model file has no 'pointed' state")
     return PointedModel(model, pointed)

@@ -6,8 +6,8 @@ index of the source clause, and lists, for every full action profile over
 those base actions, finitely many formulas the profile must enable.  Realizing
 it glues a fresh root onto recursively synthesized submodels, one per listed
 formula; the root lists exactly the blueprint's listed profiles, so every
-coalition's available joint actions are those the listing derives by
-:func:`cglogic.models.coalition_table`.
+coalition's available joint actions are the projections of the listed
+profiles, as they are in a model (:meth:`cglogic.models.Model.projection`).
 """
 
 from __future__ import annotations
@@ -149,11 +149,11 @@ def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     blueprint-level analogues of the frame properties the logic assumes.
 
     A coalition's performable joint actions are the projections of the listed
-    profiles (:func:`cglogic.models.coalition_table`), as its available joint
-    actions are in a model, so the model-level characterisations apply: S holds iff
-    some profile is listed, and I iff the listed profiles are the product of
-    their per-agent projections (proofs at
-    :func:`cglogic.models.independence_witness`)."""
+    profiles, as its available joint actions are in a model
+    (:meth:`cglogic.models.Model.projection`), so the model-level
+    characterisations apply: S holds iff some profile is listed, and I iff
+    the listed profiles are the product of their per-agent projections
+    (proofs at :func:`cglogic.models.independence_witness`)."""
     for formulas in bp.listing.values():
         for chi in formulas:
             if not sat(chi):
@@ -169,7 +169,10 @@ def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     return True
 
 
-def _prefixed(prefix: str, model: Model) -> tuple[Model, dict[str, str]]:
+def _prefixed(prefix: str, model: Model):
+    """The model's state names, actions, outcome table and labels with every
+    state and action name prefixed; the glued model that takes them in is
+    validated as a whole."""
     states = {s: prefix + s for s in model.states}
     actions = {a: prefix + a for a in model.actions}
     outcomes = {
@@ -180,15 +183,7 @@ def _prefixed(prefix: str, model: Model) -> tuple[Model, dict[str, str]]:
         for s, entries in model.outcomes.items()
     }
     labels = {states[s]: model.labels[s] for s in model.states}
-    renamed = Model(
-        model.agents,
-        tuple(actions[a] for a in model.actions),
-        tuple(states[s] for s in model.states),
-        outcomes,
-        labels,
-        model.atoms,
-    )
-    return renamed, states
+    return states, actions.values(), outcomes, labels
 
 
 ROOT_STATE = "s0"
@@ -229,12 +224,14 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
             pointed = provider(formula)
             if pointed.model.agents != bp.agents:
                 raise RealizationError("submodel has a different agent count")
-            sub, names = _prefixed(f"{','.join(profile)}#{k}#", pointed.model)
-            states.extend(sub.states)
-            actions.extend(sub.actions)
-            atoms.update(sub.atoms)
-            outcomes.update(sub.outcomes)
-            labels.update(sub.labels)
+            names, sub_actions, sub_outcomes, sub_labels = _prefixed(
+                f"{','.join(profile)}#{k}#", pointed.model
+            )
+            states.extend(names.values())
+            actions.extend(sub_actions)
+            atoms.update(pointed.model.atoms)
+            outcomes.update(sub_outcomes)
+            labels.update(sub_labels)
             root = names[pointed.state]
             roots.append(root)
             witness_roots.append((profile, formula, root))

@@ -1,12 +1,15 @@
 """Shared test fixtures: small hand-built models, random-model pools, the
 exhaustive small-model enumeration used as a brute-force satisfiability oracle,
-and the exhaustive frame-property checkers that the characterisations in
-``cglogic.models`` are tested against."""
+the exhaustive frame-property checkers that the characterisations in
+``cglogic.models`` are tested against, and the string-form evaluator and frame
+checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
+are tested against."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from cglogic import (
     ALL_LOGICS,
@@ -14,13 +17,13 @@ from cglogic import (
     Model,
     RandomModelConfig,
     available_actions,
-    coalition_table,
     coalitions,
     frame_properties,
     random_model,
     sat_states,
 )
-from cglogic.models import Violation
+from cglogic.models import Violation, independence_witness
+from cglogic.syntax import And, Atom, Coal, Not, Top
 
 
 def loop_model(agents=1, actions=("a",), labels=("p",), atoms=("p", "q")):
@@ -122,6 +125,23 @@ def brute_force_satisfiable(pool, f, logic) -> bool:
     )
 
 
+def coalition_table(table, members) -> dict[tuple[str, ...], set]:
+    """Each available joint action of a coalition, with the union of its entries,
+    in the string form the oracles below use.
+
+    ``table`` maps listed full profiles to nonempty sets, like a state's
+    ``Model.entries`` or a blueprint's listing; ``members`` is the
+    coalition in agent order.  A full profile extends a joint action exactly
+    when its projection onto the members is that joint action, so grouping
+    the listed profiles by projection gives every joint action with a
+    nonempty union over its extensions, and only those.
+    """
+    grouped: dict[tuple[str, ...], set] = {}
+    for profile, entries in table.items():
+        grouped.setdefault(tuple(profile[a] for a in members), set()).update(entries)
+    return grouped
+
+
 def merge(c, ja_c, d, ja_d):
     """Joint action of the disjoint union c | d that plays ja_c on c and ja_d on d."""
     actions = dict(zip(sorted(c), ja_c)) | dict(zip(sorted(d), ja_d))
@@ -196,7 +216,19 @@ def _perturb(rng, listing, pool, fresh):
         listing[rng.choice(pool)] = fresh()
 
 
-def perturbed_model(seed):
+class Parts(NamedTuple):
+    """A model as its constructor takes it, read by the string-form oracle
+    without going through the model's index form."""
+
+    agents: int
+    actions: tuple
+    states: tuple
+    outcomes: dict
+    labels: dict
+    atoms: tuple
+
+
+def perturbed_parts(seed) -> Parts:
     """Seeded random model (1-3 agents) of a random logic, perturbed state by
     state with :func:`_perturb`, so states without listed profiles and
     listings that are not products both occur."""
@@ -206,7 +238,79 @@ def perturbed_model(seed):
     outcomes = {state: dict(m.entries(state)) for state in m.states}
     for listing in outcomes.values():
         _perturb(rng, listing, pool, lambda: frozenset({rng.choice(m.states)}))
-    return Model(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
+    return Parts(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
+
+
+def perturbed_model(seed):
+    """The model of :func:`perturbed_parts`."""
+    return Model(*perturbed_parts(seed))
+
+
+def _string_entries(parts: Parts, state):
+    """Listed profiles at a state, straight from the outcome table."""
+    return {
+        tuple(profile): frozenset(targets)
+        for profile, targets in parts.outcomes.get(state, {}).items()
+        if targets
+    }
+
+
+def oracle_sat_states(parts: Parts, f) -> frozenset:
+    """Truth set by the string-form evaluator: recursive over the formula,
+    with sets of state names, building each state's coalition table at
+    every ``<C>`` node."""
+    everything = frozenset(parts.states)
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        match node:
+            case Top():
+                result = everything
+            case Atom(name):
+                result = frozenset(s for s in parts.states if name in parts.labels.get(s, ()))
+            case Not(child):
+                result = everything - ev(child)
+            case And(left, right):
+                result = ev(left) & ev(right)
+            case Coal(coalition, child):
+                good = ev(child)
+                members = sorted(coalition)
+                result = frozenset(
+                    s
+                    for s in parts.states
+                    if any(
+                        targets <= good
+                        for targets in coalition_table(_string_entries(parts, s), members).values()
+                    )
+                )
+            case _:
+                raise TypeError(f"not a formula: {node!r}")
+        memo[id(node)] = result
+        return result
+
+    return ev(f)
+
+
+def oracle_violations(parts: Parts) -> dict:
+    """First violation of each frame property, or None, by the string-form
+    characterisations: S fails at the first state without a listed profile;
+    I at the first state whose profiles are not a product; D at the first
+    state with a profile of several outcomes, the least such profile."""
+    found = {"serial": None, "independent": None, "deterministic": None}
+    full = frozenset(range(parts.agents))
+    for state in reversed(parts.states):
+        entries = _string_entries(parts, state)
+        if not entries:
+            found["serial"] = Violation("serial", state, (frozenset(),), ())
+        witness = independence_witness(entries)
+        if witness is not None:
+            found["independent"] = Violation("independent", state, *witness)
+        forked = sorted(p for p, targets in entries.items() if len(targets) > 1)
+        if forked:
+            found["deterministic"] = Violation("deterministic", state, (full,), (forked[0],))
+    return found
 
 
 def perturbed_blueprint(seed, formulas):

@@ -216,3 +216,41 @@ def test_unreadable_or_unwritable_path_exit_code(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_model_file_exit_code(capsys, tmp_path):
+    # A string label set used to be split into one-letter atoms, so `mc`
+    # answered "true" for q; a list of labels ended in a traceback.
+    base = '{"agents": 1, "actions": ["a"], "states": ["s0"], '
+    path = tmp_path / "m.json"
+    for rest in ('"labels": {"s0": "pq"}}', '"labels": [["s0", "p"]]}'):
+        path.write_text(base + rest)
+        for argv in (["mc", str(path), "s0", "q"], ["props", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "labels" in err
+
+
+def test_mc_and_props_never_build_the_string_view(capsys, tmp_path, monkeypatch):
+    # Both commands work on the loaded model's index form; the string view
+    # (outcomes, labels) is derived only when something asks for it.
+    import cglogic.cli
+    from cglogic.models import load_model
+
+    path = str(tmp_path / "fork.json")
+    save_model(helpers.two_agent_fork(), path)
+    loaded = []
+
+    def loading(p):
+        loaded.append(load_model(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(cglogic.cli, "load_model", loading)
+    assert run(capsys, "mc", path, "s", "~<0>p & <0,1>p")[:2] == (0, "true\n")
+    assert run(capsys, "mc", path, "t", "<1>p")[:2] == (0, "true\n")
+    assert run(capsys, "props", path)[:2] == (
+        0, "serial=true independent=true deterministic=true\n"
+    )
+    assert len(loaded) == 3
+    for model in loaded:
+        assert "outcomes" not in vars(model) and "labels" not in vars(model)

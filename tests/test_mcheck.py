@@ -7,15 +7,18 @@ import pytest
 import helpers
 from cglogic import (
     ALL_LOGICS,
+    FrameProperties,
     available_actions,
     enables,
     ensures,
+    frame_properties,
     sat_states,
     satisfies,
     valid_on_model,
+    validate_model,
 )
 from cglogic.axioms import a_cea, a_naaa, a_sia, system_instances
-from cglogic.logics import E, S
+from cglogic.logics import D, E, I, S
 from cglogic.models import Model, coalitions
 from cglogic.syntax import And, Atom, BOT, Coal, Not, TOP, parse, random_formula, render
 
@@ -201,3 +204,51 @@ def test_agent_check_survives_cached_formulas():
         with pytest.raises(ValueError, match="agent 1"):
             sat_states(m, Coal({1}, P))
     assert Coal({1}, P) not in m.sat_cache
+
+
+def test_mask_evaluation_and_frame_checks_match_the_string_form_oracle():
+    # The oracle reads the tables the model was built from, not its index
+    # form, so a wrong state bit or a wrong projection shows as a difference.
+    coalitions_seen = set()
+    states_without_profiles = 0
+    failures = {"serial": 0, "independent": 0, "deterministic": 0}
+    for seed in range(500):
+        parts = helpers.perturbed_parts(seed)
+        m = Model(*parts)
+        grand = m.full_coalition()
+        rng = random.Random(seed)
+        formulas = [random_formula(rng, 2, m.agents, ("p", "q", "r")) for _ in range(3)]
+        formulas += [Coal(frozenset(), formulas[0]), Coal(grand, Not(formulas[1]))]
+        for f in formulas:
+            assert sat_states(m, f) == helpers.oracle_sat_states(parts, f), (seed, render(f))
+        coalitions_seen.update(
+            (len(c) == 0, len(c) == m.agents) for c in _coalitions_in(formulas)
+        )
+        states_without_profiles += sum(not m.entries(s) for s in m.states)
+
+        expected = helpers.oracle_violations(parts)
+        assert frame_properties(m) == FrameProperties(
+            *(expected[prop] is None for prop in ("serial", "independent", "deterministic"))
+        )
+        for logic, prop in ((S, "serial"), (I, "independent"), (D, "deterministic")):
+            got = validate_model(m, logic).violation
+            assert got == expected[prop], (seed, prop)
+            if got is not None:
+                assert got.describe() == expected[prop].describe()
+                failures[prop] += 1
+    # the empty, the grand and some other coalition, unlisted states, and
+    # failures of every frame property
+    assert coalitions_seen >= {(True, False), (False, True), (False, False)}
+    assert states_without_profiles >= 50
+    assert min(failures.values()) >= 50, failures
+
+
+def _coalitions_in(formulas):
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Coal):
+            yield node.coalition
+        for name in ("child", "left", "right"):
+            if hasattr(node, name):
+                stack.append(getattr(node, name))

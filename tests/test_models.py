@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -213,11 +214,30 @@ def test_save_load_round_trip(tmp_path):
     assert pm.model == m and pm.state == "s"
 
 
+def test_loaded_models_derive_the_constructed_string_view(tmp_path, perturbed_models):
+    # A constructed model keeps its input table as the string view; a loaded
+    # one derives it from the index form.  Both must read the same, and
+    # saving the loaded model must write the same file.
+    path = tmp_path / "m.json"
+    for m in perturbed_models:
+        save_model(m, path)
+        text = path.read_text()
+        loaded = load_model(path)
+        assert loaded == m
+        assert loaded.outcomes == m.outcomes and loaded.labels == m.labels
+        assert all(loaded.entries(s) == m.entries(s) for s in m.states)
+        save_model(loaded, path)
+        assert path.read_text() == text
+
+
 def test_load_minimal_model(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text('{"agents": 1, "actions": ["a"], "states": ["s0"]}')
     m = load_model(path)
     assert m.outcomes == {} and m.states == ("s0",)
+
+
+ONE_STATE = '{"agents": 1, "actions": ["a"], "states": ["s0"], '
 
 
 @pytest.mark.parametrize(
@@ -243,6 +263,57 @@ def test_load_minimal_model(tmp_path):
         ('{"actions": ["a"], "states": ["s0"]}', "missing"),
         ("[1, 2]", "JSON object"),
         ("{nope", "not valid JSON"),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"], "atoms": ["p"],'
+            ' "labels": {"s0": ["q"]}}',
+            re.escape("label ['q'] at state 's0' not among declared atoms"),
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "to": ["s0"]}]}',
+            "bad outcome entry",
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"], "pointed": "s9"}',
+            "pointed state 's9' not in model",
+        ),
+        # JSON shapes: a string is not a list of names, true is not an agent
+        # count, and names are strings
+        (ONE_STATE + '"labels": {"s0": "pq"}}', "labels at state 's0'"),
+        (ONE_STATE + '"labels": {"s0": 1}}', "labels at state 's0'"),
+        (ONE_STATE + '"labels": {"s0": [1]}}', "labels at state 's0'"),
+        (ONE_STATE + '"labels": [["s0", "p"]]}', "'labels' must be an object"),
+        ('{"agents": true, "actions": ["a"], "states": ["s0"]}', "positive integer"),
+        ('{"agents": 1, "actions": "ab", "states": ["s0"]}', "'actions' must be a list"),
+        ('{"agents": 1, "actions": ["a"], "states": 3}', "'states' must be a list"),
+        ('{"agents": 1, "actions": ["a"], "states": [0]}', "'states' must be a list"),
+        (ONE_STATE + '"atoms": 2}', "'atoms' must be a list"),
+        (ONE_STATE + '"outcomes": 4}', "'outcomes' must be a list"),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": "a", "to": ["s0"]}]}',
+            "bad outcome entry",
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": ["a"], "to": "s0"}]}',
+            "bad outcome entry",
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": [["a"]], "to": ["s0"]}]}',
+            re.escape("unknown action ['a'] at state 's0'"),
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": ["a"], "to": [["s0"]]}]}',
+            re.escape("unknown outcome state ['s0'] at state 's0'"),
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": 0, "profile": ["a"], "to": ["s0"]}]}',
+            "bad outcome entry",
+        ),
     ],
 )
 def test_load_errors(tmp_path, doc, message):
@@ -310,15 +381,32 @@ def test_outcome_antimonotone_and_availability_restriction():
 
 
 def test_model_validation_errors():
-    with pytest.raises(ModelError):
-        Model(1, (), ("s0",), {}, {}, ())
-    with pytest.raises(ModelError):
-        Model(1, ("a",), (), {}, {}, ())
-    with pytest.raises(ModelError):
-        Model(0, ("a",), ("s0",), {}, {}, ())
-    with pytest.raises(ModelError):
-        Model(1, ("a",), ("s0",), {"s1": {}}, {}, ())
-    with pytest.raises(ModelError):
-        Model(1, ("a",), ("s0",), {"s0": {("a",): frozenset({"s9"})}}, {}, ())
-    with pytest.raises(ModelError):
-        Model(1, ("a", "a"), ("s0",), {}, {}, ())
+    # Every text of the validating pass, for the constructor's input.
+    cases = [
+        ((1, (), ("s0",), {}, {}, ()), "a model needs at least one action"),
+        ((1, ("a",), (), {}, {}, ()), "a model needs at least one state"),
+        ((0, ("a",), ("s0",), {}, {}, ()), "a model needs at least one agent"),
+        ((1, ("a", "a"), ("s0",), {}, {}, ()), "duplicate action names"),
+        ((1, ("a",), ("s0", "s0"), {}, {}, ()), "duplicate state names"),
+        ((1, ("a",), ("s0",), {"s1": {}}, {}, ()), "outcome entry for unknown state 's1'"),
+        (
+            (1, ("a",), ("s0",), {"s1": {("a",): frozenset({"s0"})}}, {}, ()),
+            "outcome entry for unknown state 's1'",
+        ),
+        (
+            (1, ("a",), ("s0",), {"s0": {("a",): frozenset({"s9"})}}, {}, ()),
+            "unknown outcome state 's9' at state 's0'",
+        ),
+        (
+            (1, ("a",), ("s0",), {"s0": {("b",): frozenset({"s0"})}}, {}, ()),
+            "unknown action 'b' at state 's0'",
+        ),
+        (
+            (1, ("a",), ("s0",), {"s0": {("a", "a"): frozenset({"s0"})}}, {}, ()),
+            re.escape("profile ('a', 'a') at state 's0' must list one action per agent"),
+        ),
+        ((1, ("a",), ("s0",), {}, {"s9": frozenset({"p"})}, ()), "labels for unknown state 's9'"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError, match=message):
+            Model(*args)

@@ -8,7 +8,7 @@ from cglogic import mcheck
 from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
-from cglogic.models import Model, available_actions, coalition_table, coalitions, validate_model
+from cglogic.models import Model, available_actions, coalitions, validate_model
 from cglogic.normalform import (
     Literal,
     StandardConjunction,
@@ -147,10 +147,10 @@ def test_blueprint_listing_nonempty_iff_support_neat():
 def test_coalition_table_on_blueprint_listing():
     bp = build_blueprint(spec_conjunction(), E)
     # the empty coalition's one joint action derives every listed formula
-    assert coalition_table(bp.listing, []) == {(): set().union(*bp.listing.values())}
+    assert helpers.coalition_table(bp.listing, []) == {(): set().union(*bp.listing.values())}
     # one agent: the grand coalition's table is the listing itself
-    assert coalition_table(bp.listing, [0]) == bp.listing
-    assert set(coalition_table(bp.listing, [0])) == {(a,) for a in bp.base_actions}
+    assert helpers.coalition_table(bp.listing, [0]) == bp.listing
+    assert set(helpers.coalition_table(bp.listing, [0])) == {(a,) for a in bp.base_actions}
 
 
 def test_check_regular():
@@ -215,7 +215,7 @@ def test_realize_availability_matches_performable():
                 bp = build_blueprint(negate(clause), x)
                 for c in coalitions(2):
                     assert available_actions(pointed.model, pointed.state, c) == set(
-                        coalition_table(bp.listing, sorted(c))
+                        helpers.coalition_table(bp.listing, sorted(c))
                     )
                 break
 
