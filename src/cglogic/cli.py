@@ -6,6 +6,12 @@ output directory), 3 resource cap exceeded (the clause cap, or a formula
 nested deeper than the recursive traversals can follow).  Output is
 line-oriented text; --json switches each command to a single machine-readable
 record.
+
+Parsing, printing and the truth table are iterative, so `check` and `sat`
+(with or without --model) answer a formula of modal depth 0 at any nesting
+depth.  The normal form of a formula with modal depth, and model checking in
+`mc`, are still recursive: nesting deeper than the recursion limit there
+exits 3.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ reduction is exact in both directions: a failed reduction yields a concrete
 countermodel (the blueprint construction in :mod:`cglogic.synth`), and a
 successful one corresponds to a derivation in the matching axiomatic system,
 so deciding the reduced implications decides the clause.
+
+The oracle's cache is keyed by the formula node.  Nodes are interned
+(:mod:`cglogic.syntax`), so a lookup reads the node's stored hash and
+compares identity, and ``modal_depth`` reads a stored field.
 """
 
 from __future__ import annotations
@@ -23,18 +27,18 @@ from .normalform import (
     to_standard_disjunctions,
 )
 from .syntax import (
+    TOP,
     And,
     Atom,
     Coal,
     Formula,
     Implies,
     Not,
-    Top,
     big_and,
     big_or,
     max_agent,
     modal_depth,
-    render,
+    render,  # not called here; bench/tracer.py wraps cglogic.decide.render
 )
 
 
@@ -52,45 +56,90 @@ class ReductionWitness:
     reduced: Formula | None = None
 
 
-def _leaves(f: Formula, seen: set, order: list) -> None:
-    match f:
-        case Top():
-            return
-        case Atom() | Coal():
-            if f not in seen:
-                seen.add(f)
-                order.append(f)
-        case Not(child):
-            _leaves(child, seen, order)
-        case And(left, right):
-            _leaves(left, seen, order)
-            _leaves(right, seen, order)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+def _skeleton(f: Formula, key=None):
+    """f's propositional skeleton as a straight-line program.
+
+    Atoms and ``<C>`` nodes are opaque leaves, listed in order of first
+    occurrence from the left, or sorted by ``key``.  Slot 0 holds truth,
+    slots 1..L the leaves, and step k computes slot L+1+k: ``(a, -1)``
+    negates slot a, ``(a, b)`` is the conjunction of slots a and b.  Every
+    distinct node gets one slot, children before parents.  Returns the
+    leaves, the steps and f's slot.
+    """
+    leaves: list[Formula] = []
+    steps: list = []
+    # Leaf i gets code i, truth 0, and step k (from 1) the code -k until the
+    # number of leaves is known.
+    code = {id(TOP): 0}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in code:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Not:
+            child = code.get(id(node.child))
+            if child is None:
+                stack.append(node.child)
+                continue
+            steps.append((child, None))
+        elif kind is And:
+            left = code.get(id(node.left))
+            right = code.get(id(node.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            steps.append((left, right))
+        elif kind is Atom or kind is Coal:
+            leaves.append(node)
+            code[id(node)] = len(leaves)
+            stack.pop()
+            continue
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        stack.pop()
+        code[id(node)] = -len(steps)
+    slot = list(range(len(leaves) + 1))
+    if key is not None:
+        ordered = sorted(leaves, key=key)
+        for i, leaf in enumerate(ordered, 1):
+            slot[code[id(leaf)]] = i
+        leaves = ordered
+    n = len(leaves)
+
+    def final(c: int) -> int:
+        return slot[c] if c >= 0 else n - c
+
+    steps = [(final(a), -1 if b is None else final(b)) for a, b in steps]
+    return leaves, steps, final(code[id(f)])
 
 
-def _eval_prop(f: Formula, assignment: dict) -> bool:
-    match f:
-        case Top():
-            return True
-        case Atom() | Coal():
-            return assignment[f]
-        case Not(child):
-            return not _eval_prop(child, assignment)
-        case And(left, right):
-            return _eval_prop(left, assignment) and _eval_prop(right, assignment)
-    raise TypeError(f"not a formula: {f!r}")
+def find_assignment(f: Formula, value: bool, key=None) -> dict[Formula, bool] | None:
+    """First assignment to the opaque leaves of f's propositional skeleton
+    (atoms and ``<C>`` nodes) under which f evaluates to ``value``, or None.
+
+    Assignments run in ``itertools.product((False, True), ...)`` order over
+    the leaves, taken in order of first occurrence or sorted by ``key``.
+    Evaluation is iterative over the interned DAG and computes each distinct
+    node once per assignment.
+    """
+    leaves, steps, root = _skeleton(f, key)
+    for bits in itertools.product((False, True), repeat=len(leaves)):
+        values = [True, *bits]
+        for a, b in steps:
+            values.append(not values[a] if b < 0 else values[a] and values[b])
+        if values[root] is value:
+            return dict(zip(leaves, bits))
+    return None
 
 
 def is_taut(f: Formula) -> bool:
     """Truth-table tautology check; modal subformulas count as opaque atoms."""
-    seen: set = set()
-    leaves: list = []
-    _leaves(f, seen, leaves)
-    for bits in itertools.product((False, True), repeat=len(leaves)):
-        if not _eval_prop(f, dict(zip(leaves, bits))):
-            return False
-    return True
+    return find_assignment(f, False) is None
 
 
 def is_neat(indices, negatives, logic: LogicId) -> bool:
@@ -163,8 +212,7 @@ def _check_agents(f: Formula, agents: int) -> None:
 
 
 def _validity(f: Formula, logic: LogicId, agents: int, cap: int, cache: dict) -> bool:
-    key = render(f)
-    cached = cache.get(key)
+    cached = cache.get(f)
     if cached is not None:
         return cached
     if modal_depth(f) == 0:
@@ -176,7 +224,7 @@ def _validity(f: Formula, logic: LogicId, agents: int, cap: int, cache: dict) ->
             if reduction_witness(clause, logic, rec) is None:
                 result = False
                 break
-    cache[key] = result
+    cache[f] = result
     return result
 
 

@@ -32,8 +32,9 @@ def _check_fit(m: Model, f: Formula) -> None:
 def sat_states(m: Model, f: Formula) -> frozenset[str]:
     """States at which the formula holds.
 
-    Results are kept on the model (``m.sat_cache``), keyed by the formula, so
-    asking again with the same or a structurally equal formula costs one
+    Results are kept on the model (``m.sat_cache``), keyed by the formula
+    node.  Nodes are interned, so a structurally equal formula is the same
+    key, and a lookup reads the node's stored hash: asking again costs one
     lookup.  Only the top-level result is kept, and only after the formula
     passed the agent check, so a formula naming an agent the model lacks
     raises ``ValueError`` every time.  On a miss, evaluation is recursive

@@ -4,12 +4,26 @@ The AST has exactly five constructors (truth, atoms, negation, conjunction,
 coalition modality).  Everything else -- falsity, disjunction, implication,
 the dual box modality -- is sugar built from those five, so structural
 equality is equality of desugared trees.
+
+Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): every construction goes through one intern table, so
+structurally equal formulas are the same object and ``==`` is identity.  The
+table holds nodes weakly and forgets a node once nothing else refers to it.
+A node is immutable and stores, from its construction, its hash (computed
+from its children's stored hashes), its modal depth (``depth``) and its agent
+bound (``agent_bound``: the largest agent index in any coalition, -1 when
+none), so hashing, :func:`modal_depth` and :func:`max_agent` read a field.
+:func:`render` keeps the text it printed on the node.  Copies and pickle
+round trips return the interned node.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 
 
 class ParseError(ValueError):
@@ -20,42 +34,183 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Formula:
     """Base class; concrete nodes are Top, Atom, Not, And and Coal."""
 
+    __slots__ = ("depth", "agent_bound", "_hash", "_text", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
 
-@dataclass(frozen=True)
-class Top(Formula):
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _slot_writers(cls) -> list:
+    # Nodes refuse attribute assignment, so construction writes a slot
+    # through its descriptor, which takes half the time of
+    # object.__setattr__.
+    return [cls.__dict__[name].__set__ for name in cls.__slots__ if name != "__weakref__"]
+
+
+_set_depth, _set_agent_bound, _set_hash, _set_text = _slot_writers(Formula)
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # Deletes the key only while its entry is dead, in one step, so a live
+    # entry that replaced this one stays.
+    _remove_dead_weakref(_TABLE, entry.key)
+
+
+class _Gone:
     pass
 
 
-@dataclass(frozen=True)
+# Intern table: key -> weak reference to the node.  A key is the
+# constructor's name and fields, children by id; a child's id stays valid
+# while the node holding it is alive, and the entry goes when that node
+# does.  ``_TABLE.get(key, _MISSING)()`` is the node or None: _MISSING is a
+# dead reference, like the entry of a dropped node.  Look-ups need no lock,
+# because only complete nodes are entered; entering takes ``_LOCK``, which is
+# reentrant because a finalizer that runs meanwhile may build formulas.
+_TABLE: dict[tuple, _Entry] = {}
+_MISSING = weakref.ref(_Gone())
+_LOCK = threading.RLock()
+
+
+def _node(cls, depth: int, agent_bound: int, hash_value: int):
+    node = object.__new__(cls)
+    _set_depth(node, depth)
+    _set_agent_bound(node, agent_bound)
+    _set_hash(node, hash_value)
+    _set_text(node, None)
+    return node
+
+
+def _intern(key: tuple, node):
+    """Enter the new node under key, or return the node another thread
+    entered there first."""
+    with _LOCK:
+        found = _TABLE.get(key, _MISSING)()
+        if found is not None:
+            return found
+        entry = _TABLE[key] = _Entry(node, _forget)
+        entry.key = key
+    return node
+
+
+def _not_a_formula(*values) -> TypeError:
+    bad = next(value for value in values if not isinstance(value, Formula))
+    return TypeError(f"not a formula: {bad!r}")
+
+
+class Top(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        key = ("Top",)
+        return _TABLE.get(key, _MISSING)() or _intern(key, _node(cls, 0, -1, hash(key)))
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = ("Atom", name)
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            node = _node(cls, 0, -1, hash(key))
+            _set_name(node, name)
+            node = _intern(key, node)
+        return node
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __new__(cls, child: Formula):
+        key = ("Not", id(child))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            try:
+                node = _node(cls, child.depth, child.agent_bound, hash(("Not", child._hash)))
+            except AttributeError:
+                raise _not_a_formula(child) from None
+            _set_not_child(node, child)
+            node = _intern(key, node)
+        return node
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = ("And", id(left), id(right))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            try:
+                node = _node(
+                    cls,
+                    max(left.depth, right.depth),
+                    max(left.agent_bound, right.agent_bound),
+                    hash(("And", left._hash, right._hash)),
+                )
+            except AttributeError:
+                raise _not_a_formula(left, right) from None
+            _set_left(node, left)
+            _set_right(node, right)
+            node = _intern(key, node)
+        return node
 
 
-@dataclass(frozen=True)
 class Coal(Formula):
     """``<C> child``: some available joint action of coalition C ensures child."""
 
-    coalition: frozenset[int]
-    child: Formula
+    __slots__ = ("coalition", "child")
+    __match_args__ = ("coalition", "child")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
+    def __new__(cls, coalition, child: Formula):
+        coalition = frozenset(coalition)
+        key = ("Coal", coalition, id(child))
+        node = _TABLE.get(key, _MISSING)()
+        if node is None:
+            try:
+                node = _node(
+                    cls,
+                    1 + child.depth,
+                    max(max(coalition, default=-1), child.agent_bound),
+                    hash(("Coal", coalition, child._hash)),
+                )
+            except AttributeError:
+                raise _not_a_formula(child) from None
+            _set_coalition(node, coalition)
+            _set_coal_child(node, child)
+            node = _intern(key, node)
+        return node
 
+
+(_set_name,) = _slot_writers(Atom)
+(_set_not_child,) = _slot_writers(Not)
+_set_left, _set_right = _slot_writers(And)
+_set_coalition, _set_coal_child = _slot_writers(Coal)
 
 TOP = Top()
 BOT = Not(TOP)
@@ -101,16 +256,7 @@ def big_or(parts) -> Formula:
 
 
 def modal_depth(f: Formula) -> int:
-    match f:
-        case Top() | Atom():
-            return 0
-        case Not(child):
-            return modal_depth(child)
-        case And(left, right):
-            return max(modal_depth(left), modal_depth(right))
-        case Coal(_, child):
-            return 1 + modal_depth(child)
-    raise TypeError(f"not a formula: {f!r}")
+    return f.depth
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -130,17 +276,7 @@ def atoms_of(f: Formula) -> frozenset[str]:
 
 def max_agent(f: Formula) -> int:
     """Largest agent index mentioned in any coalition, or -1 when none."""
-    match f:
-        case Top() | Atom():
-            return -1
-        case Not(child):
-            return max_agent(child)
-        case And(left, right):
-            return max(max_agent(left), max_agent(right))
-        case Coal(coalition, child):
-            local = max(coalition) if coalition else -1
-            return max(local, max_agent(child))
-    raise TypeError(f"not a formula: {f!r}")
+    return f.agent_bound
 
 
 _KEYWORDS = {"true", "false"}
@@ -219,20 +355,29 @@ class _Parser:
         return result
 
     def unary(self) -> Formula:
+        # A chain of prefixes (~, <C>, [C]) is read in a loop, so its length
+        # is not bounded by the recursion limit.
+        wraps = []
+        while True:
+            text = self.peek()[1]
+            if text == "~":
+                self.advance()
+                wraps.append(Not)
+            elif text in ("<", "["):
+                self.advance()
+                closer = ">" if text == "<" else "]"
+                coalition = self.coalition(closer)
+                self.expect(closer)
+                wraps.append(functools.partial(Coal if text == "<" else Box, coalition))
+            else:
+                break
+        result = self.primary()
+        for wrap in reversed(wraps):
+            result = wrap(result)
+        return result
+
+    def primary(self) -> Formula:
         kind, text, pos = self.peek()
-        if text == "~":
-            self.advance()
-            return Not(self.unary())
-        if text == "<":
-            self.advance()
-            coalition = self.coalition(">")
-            self.expect(">")
-            return Coal(coalition, self.unary())
-        if text == "[":
-            self.advance()
-            coalition = self.coalition("]")
-            self.expect("]")
-            return Box(coalition, self.unary())
         if kind == "true":
             self.advance()
             return TOP
@@ -297,21 +442,45 @@ def _coalition_text(coalition: frozenset[int]) -> str:
 
 
 def render(f: Formula) -> str:
-    """Print a formula so that ``parse(render(f), n)`` rebuilds f exactly."""
-    match f:
-        case Top():
-            return "true"
-        case Atom(name):
-            return name
-        case Not(child) if child == TOP:
-            return "false"
-        case Not(child):
-            return "~" + render(child)
-        case And(left, right):
-            return f"({render(left)} & {render(right)})"
-        case Coal(coalition, child):
-            return f"<{_coalition_text(coalition)}> {render(child)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Print a formula so that ``parse(render(f), n)`` rebuilds f exactly.
+
+    The text is kept on the node and reused wherever the node appears in a
+    formula printed later.  Printing is iterative, so nesting depth is not
+    bounded by the recursion limit.
+    """
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    text = f._text
+    if text is not None:
+        return text
+    pieces = []
+    stack = [f]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            pieces.append(item)
+        elif item._text is not None:
+            pieces.append(item._text)
+        elif kind is Not:
+            if item.child is TOP:
+                pieces.append("false")
+            else:
+                pieces.append("~")
+                stack.append(item.child)
+        elif kind is And:
+            pieces.append("(")
+            stack += (")", item.right, " & ", item.left)
+        elif kind is Coal:
+            pieces.append(f"<{_coalition_text(item.coalition)}> ")
+            stack.append(item.child)
+        elif kind is Atom:
+            pieces.append(item.name)
+        else:
+            pieces.append("true")
+    text = "".join(pieces)
+    _set_text(f, text)
+    return text
 
 
 def random_formula(rng, max_depth: int, agents: int, atoms=("p", "q"), size: int = 8) -> Formula:

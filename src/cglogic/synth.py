@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .decide import is_neat, reduction_witness, validity_oracle
+from .decide import find_assignment, is_neat, reduction_witness, validity_oracle
 from .logics import LogicId
 from .mcheck import enables, ensures, satisfies
 from .models import (
@@ -35,7 +35,7 @@ from .normalform import (
     negate,
     to_standard_disjunctions,
 )
-from .syntax import Formula, Not, atoms_of, big_and, big_or, max_agent, modal_depth, render
+from .syntax import Formula, Not, big_and, big_or, max_agent, modal_depth, render
 
 
 class RealizationError(RuntimeError):
@@ -271,20 +271,6 @@ def _verify_realization(model: Model, bp: Blueprint, gamma, witness_roots, logic
         raise RealizationError(f"glued model is not a {logic}-model: {report.violation.describe()}")
 
 
-def _satisfying_labels(f: Formula) -> frozenset[str] | None:
-    """Truth-table search for a satisfying valuation of a depth-0 formula."""
-    from .decide import _eval_prop  # truth-table evaluator, shared with is_taut
-
-    from .syntax import Atom
-
-    names = sorted(atoms_of(f))
-    for bits in itertools.product((False, True), repeat=len(names)):
-        assignment = {Atom(name): value for name, value in zip(names, bits)}
-        if _eval_prop(f, assignment):
-            return frozenset(name for name, value in zip(names, bits) if value)
-    return None
-
-
 def _loop_model(true_atoms, atoms, agents: int) -> PointedModel:
     # Every profile maps the single state to itself, so all three frame
     # properties hold and the model fits every logic.
@@ -316,10 +302,11 @@ def synthesize(
     if worst >= agents:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")
     if modal_depth(f) == 0:
-        valuation = _satisfying_labels(f)
-        if valuation is None:
+        assignment = find_assignment(f, True, key=lambda atom: atom.name)
+        if assignment is None:
             return None
-        return _loop_model(valuation, atoms_of(f), agents)
+        true_atoms = [atom.name for atom, value in assignment.items() if value]
+        return _loop_model(true_atoms, [atom.name for atom in assignment], agents)
 
     rec = validity_oracle(logic, agents, clause_cap)
     chosen = None

@@ -3,7 +3,8 @@ exhaustive small-model enumeration used as a brute-force satisfiability oracle,
 the exhaustive frame-property checkers that the characterisations in
 ``cglogic.models`` are tested against, and the string-form evaluator and frame
 checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
-are tested against."""
+are tested against, and the recursive structural measures that the fields
+stored on interned formula nodes are tested against."""
 
 from __future__ import annotations
 
@@ -332,3 +333,31 @@ def perturbed_blueprint(seed, formulas):
 
 
 ALL = ALL_LOGICS
+
+
+def reference_modal_depth(f) -> int:
+    """Modal depth by recursion over the tree."""
+    match f:
+        case Top() | Atom():
+            return 0
+        case Not(child):
+            return reference_modal_depth(child)
+        case And(left, right):
+            return max(reference_modal_depth(left), reference_modal_depth(right))
+        case Coal(_, child):
+            return 1 + reference_modal_depth(child)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_max_agent(f) -> int:
+    """Largest agent index in any coalition by recursion, -1 when none."""
+    match f:
+        case Top() | Atom():
+            return -1
+        case Not(child):
+            return reference_max_agent(child)
+        case And(left, right):
+            return max(reference_max_agent(left), reference_max_agent(right))
+        case Coal(coalition, child):
+            return max(max(coalition, default=-1), reference_max_agent(child))
+    raise TypeError(f"not a formula: {f!r}")

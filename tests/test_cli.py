@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cglogic
 import helpers
 from cglogic.cli import main
 from cglogic.models import load_pointed_model, save_model
@@ -158,16 +161,58 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("command", ["check", "sat", "mc"])
 def test_deep_nesting_exit_code(capsys, tmp_path, command):
-    deep = "~" * 1200 + "p"
+    # The normal form and model checking are still recursive; a formula of
+    # modal depth 0 is decided without them (test below).
     if command == "mc":
         path = tmp_path / "loop.json"
         save_model(helpers.loop_model(), path)
-        argv = ["mc", str(path), "s0", deep]
+        argv = ["mc", str(path), "s0", "~" * 1200 + "p"]
     else:
-        argv = [command, "--logic", "E", "--agents", "2", deep]
+        argv = [command, "--logic", "E", "--agents", "2", "~" * 1200 + "<0>p"]
     code, out, err = run(capsys, "--json", *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: formula nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "command,expected", [("check", "invalid"), ("sat", "satisfiable")]
+)
+def test_deep_propositional_formula_answers(capsys, tmp_path, command, expected):
+    # Parsing, printing and the truth table are iterative, so nesting depth
+    # far beyond the recursion limit still gets an answer.
+    deep = "~" * 5000 + "p"
+    code, out, err = run(capsys, "--json", command, "--logic", "E", "--agents", "1", deep)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["result"] == expected and record["formula"] == deep
+    if command == "sat":
+        path = str(tmp_path / "model.json")
+        code, out, _ = run(capsys, "sat", "--logic", "E", "--agents", "1", "--model", path, deep)
+        assert code == 0 and out.splitlines()[0] == "satisfiable"
+        assert load_pointed_model(path).model.labels["s0"] == frozenset({"p"})
+
+
+def test_sat_model_does_not_depend_on_hash_seed(tmp_path):
+    # A negated fan: every listed profile of its blueprint lists two
+    # formulas, so the written model depends on how they are ordered.
+    formula = "~(((<0> x0 & <1> x1) & <2> x2) -> <0,1,2> ((x0 & x1) & x2))"
+    src = str(Path(cglogic.__file__).resolve().parents[1])
+    replies = []
+    for seed in ("0", "1"):
+        workdir = tmp_path / f"hashseed-{seed}"
+        workdir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cglogic.cli", "sat", "--logic", "E", "--agents", "3",
+             "--model", "model.json", formula],
+            cwd=workdir,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        replies.append((proc.stdout, (workdir / "model.json").read_bytes()))
+    assert replies[0] == replies[1]
+    assert replies[0][0].splitlines()[0] == "satisfiable"
 
 
 def test_consecutive_calls_share_no_state(capsys, tmp_path):

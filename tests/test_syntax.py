@@ -1,7 +1,14 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
+import helpers
+from cglogic import syntax
 from cglogic.syntax import (
     And,
     Atom,
@@ -13,6 +20,7 @@ from cglogic.syntax import (
     Or,
     ParseError,
     TOP,
+    Top,
     atoms_of,
     big_and,
     big_or,
@@ -104,7 +112,7 @@ def test_round_trip_random():
     rng = random.Random(1)
     for _ in range(300):
         f = random_formula(rng, 3, 3, ("p", "q", "r"))
-        assert parse(render(f), 3) == f
+        assert parse(render(f), 3) is f
 
 
 def test_round_trip_keyword_sugar():
@@ -127,3 +135,78 @@ def test_big_connectives():
     assert big_and([P]) == P
     assert big_and([P, Q, TOP]) == And(And(P, Q), TOP)
     assert big_or([P, Q]) == Or(P, Q)
+
+
+def test_equal_constructions_are_one_node():
+    built = Implies(Coal([1, 0], And(P, Not(Q))), Box({1}, Atom("r")))
+    parsed = parse("<0,1>(p & ~q) -> [1] r", 2)
+    assert built is parsed and hash(built) == hash(parsed)
+    rng_a, rng_b = random.Random(9), random.Random(9)
+    for _ in range(100):
+        f, g = random_formula(rng_a, 3, 3), random_formula(rng_b, 3, 3)
+        assert f is g and hash(f) == hash(g)
+    assert Top() is TOP and Not(Top()) is BOT
+    assert And(P, Q) is not And(Q, P)
+
+
+def test_copies_and_pickles_return_the_node():
+    rng = random.Random(4)
+    for f in [TOP, BOT, P] + [random_formula(rng, 3, 3) for _ in range(50)]:
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert repr(Coal({0}, P)) == "Coal(coalition=frozenset({0}), child=Atom(name='p'))"
+
+
+def test_nodes_are_immutable():
+    f = Coal({0}, Not(P))
+    for name in ("child", "coalition", "depth", "agent_bound", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, P)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.child is Not(P) and modal_depth(f) == 1
+    with pytest.raises(TypeError, match="not a formula"):
+        Not("p")
+
+
+def test_intern_table_lets_dropped_nodes_go():
+    gc.collect()
+    before = len(syntax._TABLE)
+    built = [And(Atom(f"x{i}"), Coal({i % 3}, Atom(f"y{i}"))) for i in range(100_000)]
+    assert len(syntax._TABLE) >= before + 100_000
+    del built
+    gc.collect()
+    assert len(syntax._TABLE) == before
+
+
+def test_stored_measures_match_recursive_reference():
+    rng = random.Random(12)
+    for _ in range(500):
+        f = random_formula(rng, 4, 4, ("p", "q", "r"), size=16)
+        assert modal_depth(f) == helpers.reference_modal_depth(f)
+        assert max_agent(f) == helpers.reference_max_agent(f)
+
+
+def test_threads_building_the_same_formulas_share_nodes():
+    # More threads than cores build the same formulas with a short switch
+    # interval; a lost race would leave two nodes for one structure.
+    def build(slot):
+        rng = random.Random(3)
+        results[slot] = [random_formula(rng, 3, 3, ("p", "q", "r"), size=16) for _ in range(1500)]
+
+    results = [None] * 6
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    for other in results[1:]:
+        assert all(f is g for f, g in zip(results[0], other))
