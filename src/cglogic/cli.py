@@ -2,16 +2,14 @@
 
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
-output directory), 3 resource cap exceeded (the clause cap, or a formula
-nested deeper than the recursive traversals can follow).  Output is
-line-oriented text; --json switches each command to a single machine-readable
-record.
+output directory), 3 resource cap exceeded (the clause cap, or `<C>` or
+parentheses nested deeper than the recursion limit).  Output is line-oriented
+text; --json switches each command to a single machine-readable record.
 
-Parsing, printing and the truth table are iterative, so `check` and `sat`
-(with or without --model) answer a formula of modal depth 0 at any nesting
-depth.  The normal form of a formula with modal depth, and model checking in
-`mc`, are still recursive: nesting deeper than the recursion limit there
-exits 3.
+Formula traversals do not recurse on `~` or `&`, which may nest to any depth.
+Two things are bounded by the recursion limit: nested `<C>` (modal depth), as
+deciding, synthesis and model checking recurse once per level, and nested
+parentheses in the input text, as the parser recurses once per pair.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ countermodel (the blueprint construction in :mod:`cglogic.synth`), and a
 successful one corresponds to a derivation in the matching axiomatic system,
 so deciding the reduced implications decides the clause.
 
-The oracle's cache is keyed by the formula node.  Nodes are interned
-(:mod:`cglogic.syntax`), so a lookup reads the node's stored hash and
-compares identity, and ``modal_depth`` reads a stored field.
+The truth table runs the formula's :func:`~cglogic.syntax.skeleton` program,
+the one also run by the normal form and by model checking, once per
+assignment.  The oracle's cache is keyed by the formula node.  Nodes are
+interned (:mod:`cglogic.syntax`), so a lookup reads the node's stored hash
+and compares identity, and ``modal_depth`` reads a stored field.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .normalform import (
     to_standard_disjunctions,
 )
 from .syntax import (
-    TOP,
-    And,
-    Atom,
-    Coal,
     Formula,
     Implies,
     Not,
@@ -39,6 +37,7 @@ from .syntax import (
     max_agent,
     modal_depth,
     render,  # not called here; bench/tracer.py wraps cglogic.decide.render
+    skeleton,
 )
 
 
@@ -56,78 +55,24 @@ class ReductionWitness:
     reduced: Formula | None = None
 
 
-def _skeleton(f: Formula, key=None):
-    """f's propositional skeleton as a straight-line program.
-
-    Atoms and ``<C>`` nodes are opaque leaves, listed in order of first
-    occurrence from the left, or sorted by ``key``.  Slot 0 holds truth,
-    slots 1..L the leaves, and step k computes slot L+1+k: ``(a, -1)``
-    negates slot a, ``(a, b)`` is the conjunction of slots a and b.  Every
-    distinct node gets one slot, children before parents.  Returns the
-    leaves, the steps and f's slot.
-    """
-    leaves: list[Formula] = []
-    steps: list = []
-    # Leaf i gets code i, truth 0, and step k (from 1) the code -k until the
-    # number of leaves is known.
-    code = {id(TOP): 0}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if id(node) in code:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Not:
-            child = code.get(id(node.child))
-            if child is None:
-                stack.append(node.child)
-                continue
-            steps.append((child, None))
-        elif kind is And:
-            left = code.get(id(node.left))
-            right = code.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            steps.append((left, right))
-        elif kind is Atom or kind is Coal:
-            leaves.append(node)
-            code[id(node)] = len(leaves)
-            stack.pop()
-            continue
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        stack.pop()
-        code[id(node)] = -len(steps)
-    slot = list(range(len(leaves) + 1))
-    if key is not None:
-        ordered = sorted(leaves, key=key)
-        for i, leaf in enumerate(ordered, 1):
-            slot[code[id(leaf)]] = i
-        leaves = ordered
-    n = len(leaves)
-
-    def final(c: int) -> int:
-        return slot[c] if c >= 0 else n - c
-
-    steps = [(final(a), -1 if b is None else final(b)) for a, b in steps]
-    return leaves, steps, final(code[id(f)])
-
-
 def find_assignment(f: Formula, value: bool, key=None) -> dict[Formula, bool] | None:
     """First assignment to the opaque leaves of f's propositional skeleton
     (atoms and ``<C>`` nodes) under which f evaluates to ``value``, or None.
 
     Assignments run in ``itertools.product((False, True), ...)`` order over
     the leaves, taken in order of first occurrence or sorted by ``key``.
-    Evaluation is iterative over the interned DAG and computes each distinct
-    node once per assignment.
+    Each assignment runs f's :func:`~cglogic.syntax.skeleton` program, which
+    computes each distinct node once.
     """
-    leaves, steps, root = _skeleton(f, key)
+    leaves, steps, root = skeleton(f)
+    if key is not None:
+        order = sorted(range(len(leaves)), key=lambda i: key(leaves[i]))
+        slot = list(range(len(leaves) + 1 + len(steps)))
+        for new, old in enumerate(order, 1):
+            slot[old + 1] = new
+        leaves = [leaves[i] for i in order]
+        steps = [(slot[a], slot[b] if b >= 0 else b) for a, b in steps]
+        root = slot[root]
     for bits in itertools.product((False, True), repeat=len(leaves)):
         values = [True, *bits]
         for a, b in steps:
@@ -203,7 +148,8 @@ def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> Reduction
     return None
 
 
-def _check_agents(f: Formula, agents: int) -> None:
+def check_agents(f: Formula, agents: int) -> None:
+    """Reject a session without agents, or a formula naming an agent it lacks."""
     if agents < 1:
         raise ValueError("agents must be >= 1")
     worst = max_agent(f)
@@ -233,7 +179,7 @@ def validity_oracle(logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUS
     cache: dict = {}
 
     def rec(f: Formula) -> bool:
-        _check_agents(f, agents)
+        check_agents(f, agents)
         return _validity(f, logic, agents, clause_cap, cache)
 
     return rec
@@ -241,8 +187,7 @@ def validity_oracle(logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUS
 
 def is_valid(f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP) -> bool:
     """Decide whether the formula holds at every state of every model of the logic."""
-    _check_agents(f, agents)
-    return _validity(f, logic, agents, clause_cap, {})
+    return validity_oracle(logic, agents, clause_cap)(f)
 
 
 def is_satisfiable(
@@ -256,11 +201,10 @@ def explain(
     f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP
 ) -> tuple[bool, list[tuple[StandardDisjunction, ReductionWitness | None]]]:
     """Validity verdict plus per-clause witnesses for the top-level normal form."""
-    _check_agents(f, agents)
+    check_agents(f, agents)
     if modal_depth(f) == 0:
         return is_taut(f), []
-    cache: dict = {}
-    rec = lambda g: _validity(g, logic, agents, clause_cap, cache)
+    rec = validity_oracle(logic, agents, clause_cap)
     details = [
         (clause, reduction_witness(clause, logic, rec))
         for clause in to_standard_disjunctions(f, agents, clause_cap)

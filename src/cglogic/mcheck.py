@@ -2,7 +2,9 @@
 
 Evaluation works on the model's index form (:mod:`cglogic.models`): a set of
 states is an ``int`` whose bit i is state i.  An atom is its label mask,
-negation is complement within all states and conjunction is ``&``.  ``<C>phi``
+negation is complement within all states and conjunction is ``&``: the
+formula's :func:`~cglogic.syntax.skeleton` program runs over masks, and only
+``<C>`` leaves recurse, into their child's program.  ``<C>phi``
 holds at a state when some joint action of C available there has all its
 outcomes inside phi's mask.  With ``bad`` the complement of that mask, a
 listed profile spoils the joint action it projects to when its outcome mask
@@ -20,7 +22,7 @@ checks of :mod:`cglogic.synth`, one per glued witness) reuse it.
 from __future__ import annotations
 
 from .models import Model, ModelError, outcome
-from .syntax import And, Atom, Coal, Formula, Not, Top, max_agent
+from .syntax import Atom, Formula, max_agent, skeleton
 
 
 def _check_fit(m: Model, f: Formula) -> None:
@@ -37,9 +39,10 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
     key, and a lookup reads the node's stored hash: asking again costs one
     lookup.  Only the top-level result is kept, and only after the formula
     passed the agent check, so a formula naming an agent the model lacks
-    raises ``ValueError`` every time.  On a miss, evaluation is recursive
-    over state masks with per-subformula memoization for that call;
-    unlabeled atoms are false.  Only the result is turned into state names.
+    raises ``ValueError`` every time.  On a miss, the skeleton program runs
+    over state masks, recursing once per nested ``<C>``, and each ``<C>``
+    node is evaluated once for that call; unlabeled atoms are false.  Only
+    the result is turned into state names.
     """
     result = m.sat_cache.get(f)
     if result is None:
@@ -56,20 +59,20 @@ def _eval_at(m: Model, everything: int, memo: dict[int, int], node: Formula) -> 
     cached = memo.get(id(node))
     if cached is not None:
         return cached
-    match node:
-        case Top():
-            result = everything
-        case Atom(name):
-            result = m.label_masks.get(name, 0)
-        case Not(child):
-            result = everything ^ _eval_at(m, everything, memo, child)
-        case And(left, right):
-            result = _eval_at(m, everything, memo, left) & _eval_at(m, everything, memo, right)
-        case Coal(coalition, child):
-            result = _able(m, coalition, everything ^ _eval_at(m, everything, memo, child))
-        case _:
-            raise TypeError(f"not a formula: {node!r}")
-    memo[id(node)] = result
+    leaves, steps, root = skeleton(node)
+    values = [everything]
+    for leaf in leaves:
+        if type(leaf) is Atom:
+            values.append(m.label_masks.get(leaf.name, 0))
+            continue
+        mask = memo.get(id(leaf))
+        if mask is None:
+            bad = everything ^ _eval_at(m, everything, memo, leaf.child)
+            mask = memo[id(leaf)] = _able(m, leaf.coalition, bad)
+        values.append(mask)
+    for a, b in steps:
+        values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
+    result = memo[id(node)] = values[root]
     return result
 
 

@@ -2,12 +2,13 @@
 standard disjunctions  gamma v (/\\ <A_i>phi_i -> \\/ <B_j>psi_j).
 
 Maximal modal subformulas are treated as opaque atoms; the propositional
-skeleton goes to CNF by distribution, which preserves equivalence (fresh-
-variable encodings would only preserve equisatisfiability).  Each CNF clause
-is then split into the propositional part (gamma), the negated modal atoms
-(the antecedent family) and the positive modal atoms (the consequent
-family); <AG>falsity is pinned at consequent index 0 and <{}>truth joins a
-nonempty antecedent family, both equivalence-preserving on all models.
+skeleton (the program of :func:`~cglogic.syntax.skeleton`) goes to CNF by
+distribution, which preserves equivalence (fresh-variable encodings would
+only preserve equisatisfiability).  Each CNF clause is then split into the
+propositional part (gamma), the negated modal atoms (the antecedent family)
+and the positive modal atoms (the consequent family); <AG>falsity is pinned
+at consequent index 0 and <{}>truth joins a nonempty antecedent family, both
+equivalence-preserving on all models.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from dataclasses import dataclass
 from .syntax import (
     BOT,
     TOP,
-    And,
     Atom,
     Coal,
     Formula,
     Implies,
     Not,
-    Top,
     big_and,
     big_or,
     modal_depth,
     render,
+    skeleton,
 )
 
 DEFAULT_CLAUSE_CAP = 100_000
@@ -109,22 +109,6 @@ class StandardConjunction:
 # Skeleton literals: ("top", polarity) | ("atom", name, polarity) | ("modal", Coal, polarity)
 
 
-def _nnf(f: Formula, positive: bool):
-    match f:
-        case Top():
-            return ("lit", ("top", positive))
-        case Atom(name):
-            return ("lit", ("atom", name, positive))
-        case Coal():
-            return ("lit", ("modal", f, positive))
-        case Not(child):
-            return _nnf(child, not positive)
-        case And(left, right):
-            kind = "and" if positive else "or"
-            return (kind, _nnf(left, positive), _nnf(right, positive))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _lit_key(lit):
     if lit[0] == "atom":
         return (0, lit[1], not lit[2])
@@ -143,23 +127,47 @@ def _dedupe(items):
     return kept
 
 
-def _cnf(node, cap: int) -> list[frozenset]:
-    if node[0] == "lit":
-        return [frozenset([node[1]])]
-    left = _cnf(node[1], cap)
-    right = _cnf(node[2], cap)
-    if node[0] == "and":
-        clauses = left + right
-    else:
-        if len(left) * len(right) > cap:
-            raise ClauseCapError(
-                f"CNF distribution needs {len(left) * len(right)} clauses (cap {cap})"
-            )
-        clauses = [c | d for c in left for d in right]
-    clauses = _dedupe(clauses)
-    if len(clauses) > cap:
-        raise ClauseCapError(f"CNF has {len(clauses)} clauses (cap {cap})")
-    return clauses
+def _cnf(f: Formula, cap: int) -> list[frozenset]:
+    """CNF clauses of f's skeleton program by distribution.  ``built[2s]``
+    holds slot s's clauses and ``built[2s+1]`` its negation's.  Each is built
+    once, in the order a recursive walk over the formula tree first meets it
+    (children first, left before right), so a cap breach is reported as that
+    walk would report it."""
+    leaves, steps, root = skeleton(f)
+    n = len(leaves)
+    built: list = [None] * (2 * (n + 1 + len(steps)))
+    named = [("top",)] + [("atom", x.name) if type(x) is Atom else ("modal", x) for x in leaves]
+    for s, lit in enumerate(named):
+        built[2 * s] = [frozenset([(*lit, True)])]
+        built[2 * s + 1] = [frozenset([(*lit, False)])]
+    stack = [2 * root]
+    while stack:
+        key = stack[-1]
+        if built[key] is not None:
+            stack.pop()
+            continue
+        negated = key & 1
+        a, b = steps[(key >> 1) - n - 1]
+        if b < 0:
+            child = 2 * a + 1 - negated
+            if built[child] is None:
+                stack.append(child)
+                continue
+            built[key] = built[child]
+        else:
+            left, right = built[2 * a + negated], built[2 * b + negated]
+            if left is None or right is None:
+                stack += [k for k in (2 * b + negated, 2 * a + negated) if built[k] is None]
+                continue
+            if negated and len(left) * len(right) > cap:
+                size = len(left) * len(right)
+                raise ClauseCapError(f"CNF distribution needs {size} clauses (cap {cap})")
+            clauses = [c | d for c in left for d in right] if negated else left + right
+            clauses = built[key] = _dedupe(clauses)
+            if len(clauses) > cap:
+                raise ClauseCapError(f"CNF has {len(clauses)} clauses (cap {cap})")
+        stack.pop()
+    return built[2 * root]
 
 
 def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
@@ -200,7 +208,7 @@ def to_standard_disjunctions(
     """
     if modal_depth(f) < 1:
         raise ValueError("normal form needs modal depth >= 1; decide depth-0 input propositionally")
-    clauses = _cnf(_nnf(f, True), clause_cap)
+    clauses = _cnf(f, clause_cap)
     return [_clause_to_sd(clause, agents) for clause in clauses]
 
 

@@ -15,6 +15,11 @@ bound (``agent_bound``: the largest agent index in any coalition, -1 when
 none), so hashing, :func:`modal_depth` and :func:`max_agent` read a field.
 :func:`render` keeps the text it printed on the node.  Copies and pickle
 round trips return the interned node.
+
+:func:`skeleton` compiles a formula's propositional skeleton, with atoms and
+``<C>`` nodes as opaque leaves, into a straight-line program kept on the
+node.  The truth table, the normal form, model checking and :func:`atoms_of`
+all run it, and reach below a ``<C>`` leaf only by running its child's.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class ParseError(ValueError):
 class Formula:
     """Base class; concrete nodes are Top, Atom, Not, And and Coal."""
 
-    __slots__ = ("depth", "agent_bound", "_hash", "_text", "__weakref__")
+    __slots__ = ("depth", "agent_bound", "_hash", "_text", "_skeleton", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -64,7 +69,7 @@ def _slot_writers(cls) -> list:
     return [cls.__dict__[name].__set__ for name in cls.__slots__ if name != "__weakref__"]
 
 
-_set_depth, _set_agent_bound, _set_hash, _set_text = _slot_writers(Formula)
+_set_depth, _set_agent_bound, _set_hash, _set_text, _set_skeleton = _slot_writers(Formula)
 
 
 class _Entry(weakref.ref):
@@ -99,6 +104,7 @@ def _node(cls, depth: int, agent_bound: int, hash_value: int):
     _set_agent_bound(node, agent_bound)
     _set_hash(node, hash_value)
     _set_text(node, None)
+    _set_skeleton(node, None)
     return node
 
 
@@ -259,19 +265,63 @@ def modal_depth(f: Formula) -> int:
     return f.depth
 
 
+def skeleton(f: Formula):
+    """f's propositional skeleton as a straight-line program.
+
+    Atoms and ``<C>`` nodes are opaque leaves, listed in order of first
+    occurrence from the left.  Slot 0 holds truth, slots 1..L the leaves, and
+    step k computes slot L+1+k: ``(a, -1)`` negates slot a, ``(a, b)`` is the
+    conjunction of slots a and b.  Every distinct node gets one slot, children
+    before parents.  Returns the leaves, the steps and f's slot, and keeps
+    them on f.
+    """
+    kind = type(f)
+    if kind is Atom or kind is Coal:
+        return (f,), (), 1  # not kept: f would refer to itself
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    if f._skeleton is not None:
+        return f._skeleton
+    order = []  # distinct Not and And nodes, children before parents
+    leaves = []
+    seen = {id(TOP)}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its children are done
+            order.append(node[0])
+        elif id(node) not in seen:
+            seen.add(id(node))
+            kind = type(node)
+            if kind is Not:
+                stack += ((node,), node.child)
+            elif kind is And:
+                stack += ((node,), node.right, node.left)
+            else:
+                leaves.append(node)
+    slot = {id(node): i for i, node in enumerate((TOP, *leaves))}
+    steps = []
+    for node in order:
+        slot[id(node)] = len(slot)
+        if type(node) is Not:
+            steps.append((slot[id(node.child)], -1))
+        else:
+            steps.append((slot[id(node.left)], slot[id(node.right)]))
+    program = (tuple(leaves), tuple(steps), slot[id(f)])
+    _set_skeleton(f, program)
+    return program
+
+
 def atoms_of(f: Formula) -> frozenset[str]:
-    match f:
-        case Top():
-            return frozenset()
-        case Atom(name):
-            return frozenset({name})
-        case Not(child):
-            return atoms_of(child)
-        case And(left, right):
-            return atoms_of(left) | atoms_of(right)
-        case Coal(_, child):
-            return atoms_of(child)
-    raise TypeError(f"not a formula: {f!r}")
+    names = set()
+    stack = [f]
+    while stack:
+        for leaf in skeleton(stack.pop())[0]:
+            if type(leaf) is Atom:
+                names.add(leaf.name)
+            else:
+                stack.append(leaf.child)
+    return frozenset(names)
 
 
 def max_agent(f: Formula) -> int:

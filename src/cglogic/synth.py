@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .decide import find_assignment, is_neat, reduction_witness, validity_oracle
+from .decide import check_agents, find_assignment, is_neat, reduction_witness, validity_oracle
 from .logics import LogicId
 from .mcheck import enables, ensures, satisfies
 from .models import (
@@ -35,7 +35,7 @@ from .normalform import (
     negate,
     to_standard_disjunctions,
 )
-from .syntax import Formula, Not, big_and, big_or, max_agent, modal_depth, render
+from .syntax import Formula, Not, big_and, big_or, modal_depth, render
 
 
 class RealizationError(RuntimeError):
@@ -296,11 +296,7 @@ def synthesize(
     is built, the listed formulas are synthesized recursively (all strictly
     shallower) and glued by :func:`realize`.
     """
-    if agents < 1:
-        raise ValueError("agents must be >= 1")
-    worst = max_agent(f)
-    if worst >= agents:
-        raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")
+    check_agents(f, agents)
     if modal_depth(f) == 0:
         assignment = find_assignment(f, True, key=lambda atom: atom.name)
         if assignment is None:

@@ -3,8 +3,10 @@ exhaustive small-model enumeration used as a brute-force satisfiability oracle,
 the exhaustive frame-property checkers that the characterisations in
 ``cglogic.models`` are tested against, and the string-form evaluator and frame
 checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
-are tested against, and the recursive structural measures that the fields
-stored on interned formula nodes are tested against."""
+are tested against, the recursive structural measures that the fields
+stored on interned formula nodes are tested against, and the recursive
+negation and conjunctive normal forms that the skeleton-program distribution
+of ``cglogic.normalform`` is tested against."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from cglogic import (
     sat_states,
 )
 from cglogic.models import Violation, independence_witness
+from cglogic.normalform import ClauseCapError
 from cglogic.syntax import And, Atom, Coal, Not, Top
 
 
@@ -361,3 +364,55 @@ def reference_max_agent(f) -> int:
         case Coal(coalition, child):
             return max(max(coalition, default=-1), reference_max_agent(child))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_atoms_of(f) -> frozenset:
+    """Atom names by recursion over the tree."""
+    match f:
+        case Top():
+            return frozenset()
+        case Atom(name):
+            return frozenset({name})
+        case Not(child) | Coal(_, child):
+            return reference_atoms_of(child)
+        case And(left, right):
+            return reference_atoms_of(left) | reference_atoms_of(right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_nnf(f, positive=True):
+    """Negation normal form of the propositional skeleton as a tuple tree:
+    ``("lit", literal)``, ``("and", l, r)`` or ``("or", l, r)``, with the
+    literals ``cglogic.normalform`` uses."""
+    match f:
+        case Top():
+            return ("lit", ("top", positive))
+        case Atom(name):
+            return ("lit", ("atom", name, positive))
+        case Coal():
+            return ("lit", ("modal", f, positive))
+        case Not(child):
+            return reference_nnf(child, not positive)
+        case And(left, right):
+            kind = "and" if positive else "or"
+            return (kind, reference_nnf(left, positive), reference_nnf(right, positive))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_cnf(node, cap):
+    """CNF clauses of a :func:`reference_nnf` tree by recursive distribution,
+    duplicates dropped at every node, raising ``ClauseCapError`` past the cap."""
+    if node[0] == "lit":
+        return [frozenset([node[1]])]
+    left = reference_cnf(node[1], cap)
+    right = reference_cnf(node[2], cap)
+    if node[0] == "and":
+        clauses = left + right
+    else:
+        if len(left) * len(right) > cap:
+            raise ClauseCapError(f"CNF distribution needs {len(left) * len(right)} clauses (cap {cap})")
+        clauses = [c | d for c in left for d in right]
+    clauses = list(dict.fromkeys(clauses))
+    if len(clauses) > cap:
+        raise ClauseCapError(f"CNF has {len(clauses)} clauses (cap {cap})")
+    return clauses

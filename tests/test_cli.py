@@ -161,27 +161,42 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("command", ["check", "sat", "mc"])
 def test_deep_nesting_exit_code(capsys, tmp_path, command):
-    # The normal form and model checking are still recursive; a formula of
-    # modal depth 0 is decided without them (test below).
+    # Deciding and model checking recurse once per nested <C> (test below
+    # for nesting without modal depth).  Seriality makes the empty antecedent
+    # family neat, so `check` and `sat` reach the innermost modality.
     if command == "mc":
         path = tmp_path / "loop.json"
         save_model(helpers.loop_model(), path)
-        argv = ["mc", str(path), "s0", "~" * 1200 + "p"]
+        argv = ["mc", str(path), "s0", "<0>" * 1200 + "p"]
     else:
-        argv = [command, "--logic", "E", "--agents", "2", "~" * 1200 + "<0>p"]
+        argv = [command, "--logic", "S", "--agents", "1", "<0>" * 1200 + "p"]
     code, out, err = run(capsys, "--json", *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: formula nested too deeply")
 
 
 @pytest.mark.parametrize(
-    "command,expected", [("check", "invalid"), ("sat", "satisfiable")]
+    "command,deep,expected",
+    [
+        ("check", "~" * 5000 + "p", "invalid"),
+        ("sat", "~" * 5000 + "p", "satisfiable"),
+        ("check", "~" * 5000 + "<0> p", "invalid"),
+        ("sat", "~" * 5000 + "<0> p", "satisfiable"),
+        ("mc", "~" * 5000 + "p", "true"),
+    ],
+    ids=["check-invalid", "sat-satisfiable", "check-modal-invalid", "sat-modal-satisfiable", "mc-true"],
 )
-def test_deep_propositional_formula_answers(capsys, tmp_path, command, expected):
-    # Parsing, printing and the truth table are iterative, so nesting depth
+def test_deep_propositional_formula_answers(capsys, tmp_path, command, deep, expected):
+    # Parsing, printing, the truth table, the normal form and model checking
+    # are iterative over the propositional skeleton, so nesting of ~ and &
     # far beyond the recursion limit still gets an answer.
-    deep = "~" * 5000 + "p"
-    code, out, err = run(capsys, "--json", command, "--logic", "E", "--agents", "1", deep)
+    if command == "mc":
+        path = str(tmp_path / "loop.json")
+        save_model(helpers.loop_model(), path)
+        argv = ["mc", path, "s0", deep]
+    else:
+        argv = [command, "--logic", "E", "--agents", "1", deep]
+    code, out, err = run(capsys, "--json", *argv)
     assert code == 0 and err == ""
     record = json.loads(out)
     assert record["result"] == expected and record["formula"] == deep
@@ -189,7 +204,10 @@ def test_deep_propositional_formula_answers(capsys, tmp_path, command, expected)
         path = str(tmp_path / "model.json")
         code, out, _ = run(capsys, "sat", "--logic", "E", "--agents", "1", "--model", path, deep)
         assert code == 0 and out.splitlines()[0] == "satisfiable"
-        assert load_pointed_model(path).model.labels["s0"] == frozenset({"p"})
+        pointed = load_pointed_model(path)
+        assert satisfies(pointed.model, pointed.state, parse(deep, 1))
+        if "<" not in deep:
+            assert pointed.model.labels[pointed.state] == frozenset({"p"})
 
 
 def test_sat_model_does_not_depend_on_hash_seed(tmp_path):

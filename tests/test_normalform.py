@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from cglogic import ALL_LOGICS
+from cglogic import ALL_LOGICS, normalform
 from cglogic.logics import E
 from cglogic.normalform import (
     ClauseCapError,
@@ -21,6 +21,7 @@ from cglogic.syntax import (
     Atom,
     BOT,
     Coal,
+    Iff,
     Implies,
     Not,
     Or,
@@ -189,3 +190,42 @@ def test_random_equivalence_and_depth():
         for x in ALL_LOGICS:
             for m in pools[x]:
                 assert helpers.equivalent_on(m, f, whole), (x.name, render(f))
+
+
+def _clauses_or_message(cnf, *args):
+    try:
+        return cnf(*args)
+    except ClauseCapError as error:
+        return str(error)
+
+
+def _shared_formulas(rng, count):
+    # Iff puts both sides under both polarities, and the variants nest one
+    # shared subformula at several places, inside and outside <C>.
+    for _ in range(count):
+        f = random_formula(rng, rng.randint(1, 2), 2, ("p", "q", "r"))
+        g = random_formula(rng, rng.randint(0, 2), 2, ("p", "q"))
+        yield Iff(f, g)
+        yield Iff(f, Coal({rng.randrange(2)}, Iff(g, f)))
+        yield And(Iff(f, g), Or(g, Not(f)))
+        yield Iff(Iff(f, g), Iff(g, f))
+
+
+def test_distribution_matches_recursive_reference():
+    # The criterion-7 generator plus Iff-shared formulas: the same clauses in
+    # the same order, and at small caps the same ClauseCapError message.
+    rng = random.Random(505)
+    formulas = []
+    while len(formulas) < 500:
+        f = random_formula(rng, rng.randint(1, 3), 2, ("p", "q"))
+        if modal_depth(f) >= 1:
+            formulas.append(f)
+    formulas += _shared_formulas(random.Random(17), 150)
+    messages = 0
+    for f in formulas:
+        for cap in (3, 12, 100_000):
+            got = _clauses_or_message(normalform._cnf, f, cap)
+            expected = _clauses_or_message(helpers.reference_cnf, helpers.reference_nnf(f), cap)
+            assert got == expected, (render(f), cap)
+            messages += isinstance(got, str)
+    assert messages > 100

@@ -29,6 +29,7 @@ from cglogic.syntax import (
     parse,
     random_formula,
     render,
+    skeleton,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -187,6 +188,32 @@ def test_stored_measures_match_recursive_reference():
         f = random_formula(rng, 4, 4, ("p", "q", "r"), size=16)
         assert modal_depth(f) == helpers.reference_modal_depth(f)
         assert max_agent(f) == helpers.reference_max_agent(f)
+
+
+def test_atoms_match_recursive_reference_and_skeleton_is_kept():
+    rng = random.Random(13)
+    for _ in range(500):
+        f = random_formula(rng, 4, 4, ("p", "q", "r", "s"), size=16)
+        assert atoms_of(f) == helpers.reference_atoms_of(f)
+        # An atom or <C> root is its own only leaf; its program is built on
+        # each call, because keeping it on the node would make a cycle.
+        if isinstance(f, (Atom, Coal)):
+            assert skeleton(f) == ((f,), (), 1)
+        else:
+            assert skeleton(f) is skeleton(f)
+
+
+def test_skeleton_program():
+    f = parse("(p & <0> q) & ~(p & <0> q)", 1)
+    leaves, steps, root = skeleton(f)
+    assert leaves == (P, Coal({0}, Q))
+    assert steps == ((1, 2), (3, -1), (3, 4))
+    assert root == 5
+    assert skeleton(TOP) == ((), (), 0)
+    assert skeleton(BOT) == ((), ((0, -1),), 1)
+    assert skeleton(P) == ((P,), (), 1)
+    with pytest.raises(TypeError, match="not a formula"):
+        skeleton("p")
 
 
 def test_threads_building_the_same_formulas_share_nodes():
