@@ -103,7 +103,14 @@ def cmd_check(args) -> int:
 def cmd_sat(args) -> int:
     logic = LogicId.from_string(args.logic)
     formula = parse(args.formula, args.agents)
-    sat = is_satisfiable(formula, logic, args.agents)
+    # With --model, synthesize decides: it returns None exactly when every
+    # clause of the negation's normal form has a reduction witness, which is
+    # the loop is_satisfiable runs, with the same cap, order and errors.
+    if args.model:
+        pointed = synthesize(formula, logic, args.agents)
+        sat = pointed is not None
+    else:
+        sat = is_satisfiable(formula, logic, args.agents)
     result = "satisfiable" if sat else "unsatisfiable"
     lines = [result]
     record = {
@@ -114,7 +121,6 @@ def cmd_sat(args) -> int:
         "result": result,
     }
     if sat and args.model:
-        pointed = synthesize(formula, logic, args.agents)
         save_model(pointed.model, args.model, pointed=pointed.state)
         lines.append(f"model written to {args.model}")
         record["model"] = args.model
@@ -220,6 +226,9 @@ def _fuzz_iteration(logic, agents, depth, atoms, rng, models_per_valid):
 def cmd_fuzz(args) -> int:
     logic = LogicId.from_string(args.logic)
     atoms = ("p", "q")
+    for option, value in (("--iters", args.iters), ("--depth", args.depth)):
+        if value < 0:
+            raise ValueError(f"{option} must be >= 0, got {value}")
     for iteration in range(args.iters):
         rng = random.Random(args.seed * 1_000_003 + iteration)
         outcome = _fuzz_iteration(logic, args.agents, args.depth, atoms, rng, 3)

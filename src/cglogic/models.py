@@ -23,6 +23,11 @@ nothing is copied or checked twice, and a loaded model derives its string
 view from the index form only when something asks for it.  Model checking
 and the frame checks never read the string view: they work on masks and name
 states and joint actions only in a failure's witness.
+
+A model file is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
+document that :func:`save_model` describes.  :func:`save_model` writes that
+layout directly rather than through ``json.dumps``, whose ``indent`` option
+bypasses the C encoder; the tests hold the two to the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
@@ -465,24 +471,64 @@ def validate_model(m: Model, logic) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _model_to_doc(m: Model, pointed: str | None) -> dict:
-    doc = {
-        "agents": m.agents,
-        "actions": list(m.actions),
-        "states": list(m.states),
-        "atoms": list(m.atoms),
-        "labels": {state: sorted(m.labels[state]) for state in m.states},
-        "outcomes": [
-            {"state": state, "profile": list(profile), "to": sorted(targets)}
-            for state in m.states
-            for profile, targets in sorted(m.outcomes.get(state, {}).items())
-        ],
-    }
+def _json_list(items, indent: str) -> str:
+    """A JSON list of already encoded items, laid out as ``json.dumps(...,
+    indent=2)`` lays out a list whose items sit at ``indent``."""
+    if not items:
+        return "[]"
+    newline = "\n" + indent
+    return "[" + newline + ("," + newline).join(items) + "\n" + indent[:-2] + "]"
+
+
+def _model_text(m: Model, pointed: str | None) -> str:
+    """The model file's text: ``json.dumps(doc, indent=2) + "\\n"`` for the
+    document described in :func:`save_model`, written directly.
+
+    Strings go through ``encode_basestring_ascii``, the encoder ``json.dumps``
+    uses under its default ``ensure_ascii=True``.  Each state, atom and
+    distinct profile is encoded once and its text reused.
+    """
+    encode = encode_basestring_ascii
+    names = {state: encode(state) for state in m.states}
+    atoms = {atom: encode(atom) for atom in m.atoms}
+    # Distinct label sets and profiles are few; each is laid out once.
+    labels = m.labels
+    label_texts: dict[frozenset[str], str] = {}
+    label_lines = []
+    for state in m.states:
+        marked = labels[state]
+        text = label_texts.get(marked)
+        if text is None:
+            text = label_texts[marked] = _json_list([atoms[a] for a in sorted(marked)], "      ")
+        label_lines.append("    " + names[state] + ": " + text)
+    # An entry is its state's head, its profile's text up to the outcome
+    # list, and that list, which is never empty, with the closing brace.
+    outcomes = m.outcomes
+    profile_texts: dict[tuple[str, ...], str] = {}
+    entries = []
+    for state in m.states:
+        row = outcomes.get(state)
+        if not row:
+            continue
+        head = '{\n      "state": ' + names[state] + ',\n      "profile": '
+        for profile in sorted(row):
+            text = profile_texts.get(profile)
+            if text is None:
+                text = _json_list(list(map(encode, profile)), "        ") + ',\n      "to": [\n        '
+                profile_texts[profile] = text
+            to = ",\n        ".join(map(names.__getitem__, sorted(row[profile])))
+            entries.append(head + text + to + "\n      ]\n    }")
+    fields = [
+        '{\n  "agents": ' + int.__repr__(m.agents),
+        '  "actions": ' + _json_list(list(map(encode, m.actions)), "    "),
+        '  "states": ' + _json_list(list(names.values()), "    "),
+        '  "atoms": ' + _json_list(list(atoms.values()), "    "),
+        '  "labels": {\n' + ",\n".join(label_lines) + "\n  }",
+        '  "outcomes": ' + _json_list(entries, "    "),
+    ]
     if pointed is not None:
-        if not _known(pointed, m.index):
-            raise ModelError(f"pointed state {pointed!r} not in model")
-        doc["pointed"] = pointed
-    return doc
+        fields.append('  "pointed": ' + names[pointed])
+    return ",\n".join(fields) + "\n}\n"
 
 
 def _doc_names(doc: dict, key: str) -> list[str]:
@@ -555,8 +601,19 @@ def _read_model_file(path) -> tuple[Model, str | None]:
 
 
 def save_model(m: Model, path, pointed: str | None = None) -> None:
-    doc = _model_to_doc(m, pointed)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write the model file: exactly ``json.dumps(doc, indent=2) + "\\n"``
+    of the document ``{"agents", "actions", "states", "atoms", "labels",
+    "outcomes"}`` and, when ``pointed`` is given, ``"pointed"``, in that key
+    order.  ``labels`` maps every state, in model order, to its sorted atoms;
+    ``outcomes`` lists ``{"state", "profile", "to"}`` entries by state in
+    model order, then by profile, with sorted outcome states.
+
+    An unknown ``pointed`` state raises :class:`ModelError` before the file
+    is opened.
+    """
+    if pointed is not None and not _known(pointed, m.index):
+        raise ModelError(f"pointed state {pointed!r} not in model")
+    Path(path).write_text(_model_text(m, pointed), encoding="utf-8")
 
 
 def load_model(path) -> Model:

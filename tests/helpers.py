@@ -6,7 +6,8 @@ checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
 are tested against, the recursive structural measures that the fields
 stored on interned formula nodes are tested against, and the recursive
 negation and conjunctive normal forms that the skeleton-program distribution
-of ``cglogic.normalform`` is tested against."""
+of ``cglogic.normalform`` is tested against, and the model-file document
+that ``cglogic.models.save_model``'s bytes are tested against."""
 
 from __future__ import annotations
 
@@ -416,3 +417,23 @@ def reference_cnf(node, cap):
     if len(clauses) > cap:
         raise ClauseCapError(f"CNF has {len(clauses)} clauses (cap {cap})")
     return clauses
+
+
+def reference_doc(m, pointed=None) -> dict:
+    """The model-file document of m: ``save_model`` must write exactly
+    ``json.dumps(reference_doc(m, pointed), indent=2) + "\\n"``."""
+    doc = {
+        "agents": m.agents,
+        "actions": list(m.actions),
+        "states": list(m.states),
+        "atoms": list(m.atoms),
+        "labels": {state: sorted(m.labels[state]) for state in m.states},
+        "outcomes": [
+            {"state": state, "profile": list(profile), "to": sorted(targets)}
+            for state in m.states
+            for profile, targets in sorted(m.outcomes.get(state, {}).items())
+        ],
+    }
+    if pointed is not None:
+        doc["pointed"] = pointed
+    return doc

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import cglogic
 import helpers
 from cglogic.cli import main
 from cglogic.models import load_pointed_model, save_model
-from cglogic.syntax import parse
+from cglogic.syntax import parse, random_formula, render
 from cglogic.mcheck import satisfies
 
 
@@ -81,6 +82,53 @@ def test_sat_unsatisfiable(capsys):
     assert code == 0 and out.strip() == "unsatisfiable"
 
 
+def test_sat_verdict_does_not_depend_on_model_option(capsys, tmp_path):
+    # With --model, sat decides through synthesize; without, through
+    # is_satisfiable.  The verdicts must agree, and only a satisfiable
+    # formula writes a model.
+    verdicts = set()
+    for x in cglogic.ALL_LOGICS:
+        for seed in range(6):
+            text = render(random_formula(random.Random(seed), 2, 2))
+            path = tmp_path / f"{x.name}-{seed}.json"
+            argv = ["--json", "sat", "--logic", x.name, "--agents", "2"]
+            code, out, _ = run(capsys, *argv, text)
+            assert code == 0
+            plain = json.loads(out)
+            code, out, _ = run(capsys, *argv, "--model", str(path), text)
+            assert code == 0
+            modelled = json.loads(out)
+            assert modelled["result"] == plain["result"], (x.name, text)
+            assert path.exists() == (plain["result"] == "satisfiable")
+            verdicts.add(plain["result"])
+    assert verdicts == {"satisfiable", "unsatisfiable"}
+
+
+@pytest.mark.parametrize("formula", ["p & ~p", "<0>p & ~<*>p", "<0>(q & ~q)"])
+def test_sat_unsatisfiable_with_model_writes_no_file(capsys, tmp_path, formula):
+    path = tmp_path / "model.json"
+    code, out, _ = run(capsys, "sat", "--logic", "SID", "--agents", "2", "--model", str(path), formula)
+    assert code == 0 and out.strip() == "unsatisfiable"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "formula, expected_code, expected_text",
+    [
+        (" & ".join(f"(x{i} | y{i})" for i in range(18)) + " & <0>z", 3, "cap"),
+        ("<5>p", 2, "out of range"),
+    ],
+)
+def test_sat_errors_do_not_depend_on_model_option(capsys, tmp_path, formula, expected_code, expected_text):
+    path = tmp_path / "model.json"
+    argv = ["sat", "--logic", "E", "--agents", "1"]
+    plain = run(capsys, *argv, formula)
+    modelled = run(capsys, *argv, "--model", str(path), formula)
+    assert plain[0] == modelled[0] == expected_code
+    assert plain[2] == modelled[2] and expected_text in plain[2]
+    assert not path.exists()
+
+
 def test_mc_on_loop_model(capsys, tmp_path):
     path = str(tmp_path / "loop.json")
     save_model(helpers.loop_model(labels=("p",)), path)
@@ -127,6 +175,14 @@ def test_fuzz_clean_run(capsys, tmp_path, monkeypatch):
     assert code == 0 and "ok: 25 iterations" in out
     code, out, _ = run(capsys, "fuzz", "--logic", "E", "--iters", "25", "--seed", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("option", ["--iters", "--depth"])
+def test_fuzz_rejects_negative_counts(capsys, tmp_path, monkeypatch, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "fuzz", "--logic", "E", "--iters", "3", option, "-1")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {option} must be >= 0, got -1"
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -21,8 +22,9 @@ from cglogic import (
 )
 from cglogic.logics import D, E, I, LogicId, S, SID
 from cglogic.models import coalitions
-from cglogic.synth import check_regular
-from cglogic.syntax import Atom, Not
+from cglogic.cli import main
+from cglogic.synth import check_regular, synthesize
+from cglogic.syntax import Atom, Not, random_formula
 
 
 def test_outcome_union_over_extensions():
@@ -212,6 +214,86 @@ def test_save_load_round_trip(tmp_path):
     save_model(m, path, pointed="s")
     pm = load_pointed_model(path)
     assert pm.model == m and pm.state == "s"
+
+
+def assert_writes_reference(m, path, pointed=None):
+    save_model(m, path, pointed=pointed)
+    expected = json.dumps(helpers.reference_doc(m, pointed), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_save_model_writes_json_dumps_bytes(tmp_path, perturbed_models):
+    path = tmp_path / "m.json"
+    for x in ALL_LOGICS:
+        for seed in range(6):
+            m = helpers.random_x_model(x, seed)
+            assert_writes_reference(m, path)
+            assert_writes_reference(m, path, pointed=m.states[-1])
+            assert_writes_reference(load_model(path), path, pointed=m.states[0])
+    for m in perturbed_models[:100]:
+        assert_writes_reference(m, path, pointed=m.states[0])
+
+
+def test_save_model_bytes_of_synthesized_countermodels(tmp_path):
+    path = tmp_path / "m.json"
+    written = 0
+    for x in ALL_LOGICS:
+        for seed in range(4):
+            f = random_formula(random.Random(seed), 2, 2)
+            pointed = synthesize(f, x, 2)
+            if pointed is not None:
+                assert_writes_reference(pointed.model, path, pointed=pointed.state)
+                written += 1
+    assert written >= len(ALL_LOGICS)
+
+
+def test_save_model_bytes_of_generated_models(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    for x in ALL_LOGICS:
+        argv = ["gen", "--logic", x.name, "--states", "5", "--agents", "3", "--seed", "4"]
+        assert main([*argv, "--out", str(path)]) == 0
+        text = path.read_bytes()
+        assert_writes_reference(load_model(path), path)
+        assert path.read_bytes() == text
+    capsys.readouterr()
+
+
+def test_save_model_bytes_of_awkward_names(tmp_path):
+    states = ("s\u00e9", "\U0001f600", 'q"t', "b\\s", "new\nline", "ctl\x01", "del\x7f", "idle")
+    actions = ("\u00e9", "\U0001d11e", '"', "\\", "\n", "\x1f")
+    atoms = ("\u00e4", "\U0001f600", 'a"b', "a\\b", "a\nb", "a\x02b", "unused")
+    table = {
+        state: {
+            (actions[i % 6], actions[(i + j) % 6]): frozenset(states[(i + j) % 6 : (i + j) % 6 + 2])
+            for j in range(3)
+        }
+        for i, state in enumerate(states[:6])
+    }
+    labels = {state: frozenset(atoms[i % 3 : i % 6]) for i, state in enumerate(states)}
+    m = Model(2, actions, states, table, labels, atoms)
+    assert not m.labels["s\u00e9"] and "idle" not in m.outcomes
+    path = tmp_path / "m.json"
+    for pointed in (None, *states):
+        assert_writes_reference(m, path, pointed=pointed)
+    assert load_model(path) == m
+
+
+def test_save_model_bytes_of_empty_parts(tmp_path):
+    path = tmp_path / "m.json"
+    no_atoms = Model(1, ("a",), ("s0", "s1"), {"s0": {("a",): frozenset({"s1"})}}, {}, ())
+    for m in (no_atoms, helpers.empty_table_model(atoms=()), helpers.empty_table_model()):
+        assert_writes_reference(m, path)
+        assert_writes_reference(m, path, pointed="s0")
+
+
+def test_save_model_rejects_unknown_pointed_state_before_writing(tmp_path):
+    m = helpers.two_agent_fork()
+    path = tmp_path / "m.json"
+    path.write_text("keep")
+    for pointed in ("zz", ["s"]):
+        with pytest.raises(ModelError, match="pointed state"):
+            save_model(m, path, pointed=pointed)
+        assert path.read_text() == "keep"
 
 
 def test_loaded_models_derive_the_constructed_string_view(tmp_path, perturbed_models):
