@@ -31,6 +31,7 @@ from .models import (
     Model,
     ModelError,
     PointedModel,
+    ProfileCapError,
     RandomModelConfig,
     ValidationReport,
     available_actions,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
-output directory), 3 resource cap exceeded (the clause cap, or `<C>` or
+output directory), 3 resource cap exceeded (the clause cap, the profile cap
+on the action profiles a random model or a blueprint enumerates, or `<C>` or
 parentheses nested deeper than the recursion limit).  Output is line-oriented
 text; --json switches each command to a single machine-readable record.
 
@@ -25,6 +26,7 @@ from .logics import LogicId
 from .mcheck import satisfies, valid_on_model
 from .models import (
     ModelError,
+    ProfileCapError,
     RandomModelConfig,
     frame_properties,
     load_model,
@@ -39,12 +41,18 @@ from .syntax import ParseError, parse, random_formula, render
 # Desk-scale guidance for `check`, `sat` and `fuzz`, whose cost grows with the
 # formula: `decide._neat_subsets` tries all 2^k subsets of a clause's k
 # antecedents, and `synth.build_blueprint` enumerates |base actions|^agents
-# profiles, with one base action per antecedent and per consequent.  `mc` and
-# `props` are linear in the model file: loading is one validating pass over its
-# outcome entries (JSON decoding is about half of a 500-state load), after
-# which states are bits of an int.  Each `<C>` node of an `mc` formula is one
-# pass over the listed profiles, each other node one mask operation, and each
-# frame check of `props` one pass; both handle models of hundreds of states.
+# profiles, with one base action per antecedent and per consequent.  A
+# blueprint or a random model (`gen`, `fuzz`) that would enumerate more than
+# `models.PROFILE_CAP` profiles exits 3 before building any; 17 agents with
+# two actions already do.  `sat --model` glues one submodel per listed profile
+# and formula: gluing copies each submodel's rows once, shifted by its state
+# offset, and checking the glued model evaluates each `<C>` node of its listed
+# formulas once.  `mc` and `props` are linear in the model file: loading is
+# one validating pass over its outcome entries (JSON decoding is about half of
+# a 500-state load), after which states are bits of an int.  Each `<C>` node
+# of an `mc` formula is one pass over the listed profiles, each other node one
+# mask operation, and each frame check of `props` one pass; both handle models
+# of hundreds of states.
 SCALE_NOTE = (
     "check, sat and fuzz are intended for desk-scale formulas and countermodels"
     " (agents <= 3, actions <= 4, small modal depth); mc and props are linear in"
@@ -334,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClauseCapError as exc:
+    except (ClauseCapError, ProfileCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

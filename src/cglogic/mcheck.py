@@ -16,7 +16,11 @@ once per model, so every ``<C>`` node is one pass over the listed profiles.
 Every query goes through :func:`sat_states`, which evaluates a formula over
 the whole model once and keeps the result on the model, so repeated
 ``satisfies``/``enables``/``ensures`` calls on one model (the realization
-checks of :mod:`cglogic.synth`, one per glued witness) reuse it.
+checks of :mod:`cglogic.synth`, one per glued witness) reuse it.  Each model
+also keeps one memo, ``<C>`` node -> mask, shared by all its
+:func:`sat_states` calls: a ``<C>`` node is evaluated once per model, however
+many formulas contain it, such as the listed disjunctions whose disjuncts
+the glued witnesses were checked against.
 """
 
 from __future__ import annotations
@@ -40,40 +44,38 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
     lookup.  Only the top-level result is kept, and only after the formula
     passed the agent check, so a formula naming an agent the model lacks
     raises ``ValueError`` every time.  On a miss, the skeleton program runs
-    over state masks, recursing once per nested ``<C>``, and each ``<C>``
-    node is evaluated once for that call; unlabeled atoms are false.  Only
-    the result is turned into state names.
+    over state masks, recursing once per nested ``<C>``; each ``<C>`` node's
+    mask is kept in the model's ``mask_memo``, so it is evaluated once per
+    model.  Unlabeled atoms are false.  Only the result is turned into
+    state names.
     """
     result = m.sat_cache.get(f)
     if result is None:
         _check_fit(m, f)
         everything = (1 << len(m.states)) - 1
-        result = m.sat_cache[f] = m.names(_eval_at(m, everything, {}, f))
+        result = m.sat_cache[f] = m.names(_eval_at(m, everything, m.mask_memo, f))
     return result
 
 
-def _eval_at(m: Model, everything: int, memo: dict[int, int], node: Formula) -> int:
+def _eval_at(m: Model, everything: int, memo: dict[Formula, int], node: Formula) -> int:
     # A module-level function, not a closure: a closure that calls itself is a
     # reference cycle, which would keep the model alive until the next cyclic
-    # garbage collection.
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
+    # garbage collection.  The memo holds formula nodes, which never refer to
+    # a model, so keeping it on the model makes no cycle either.
     leaves, steps, root = skeleton(node)
     values = [everything]
     for leaf in leaves:
         if type(leaf) is Atom:
             values.append(m.label_masks.get(leaf.name, 0))
             continue
-        mask = memo.get(id(leaf))
+        mask = memo.get(leaf)
         if mask is None:
             bad = everything ^ _eval_at(m, everything, memo, leaf.child)
-            mask = memo[id(leaf)] = _able(m, leaf.coalition, bad)
+            mask = memo[leaf] = _able(m, leaf.coalition, bad)
         values.append(mask)
     for a, b in steps:
         values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
-    result = memo[id(node)] = values[root]
-    return result
+    return values[root]
 
 
 def _able(m: Model, coalition, bad: int) -> int:

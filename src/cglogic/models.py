@@ -15,19 +15,27 @@ coalition's joint actions and maps every profile number onto one, once per
 model and coalition; availability, outcomes, the independence check and the
 ``<C>`` clause of model checking all read it.
 
-One validating pass builds the index form.  The ``Model(...)`` constructor
-feeds it the nested outcome table and keeps that table, empty entries
-dropped, as the string view (``outcomes``, ``labels``, :meth:`Model.entries`).
-:func:`load_model` feeds it the model file's entries as they are decoded, so
-nothing is copied or checked twice, and a loaded model derives its string
-view from the index form only when something asks for it.  Model checking
-and the frame checks never read the string view: they work on masks and name
-states and joint actions only in a failure's witness.
+A model is built by one of three routes, and ``Model._adopt`` is the one
+place that sets the index form for all of them:
+
+- the ``Model(...)`` constructor runs the validating pass over the nested
+  outcome table and keeps that table, empty entries dropped, as the string
+  view (``outcomes``, ``labels``, :meth:`Model.entries`);
+- :func:`load_model` runs the same pass over the model file's entries as
+  they are decoded, so nothing is copied or checked twice;
+- :func:`cglogic.synth.realize` glues validated models by state offset and
+  hands over the finished index form; only the names are checked again.
+
+A loaded or glued model derives its string view from the index form only
+when something asks for it.  Model checking, the frame checks and
+:func:`save_model` never ask: they work on masks and name states and joint
+actions only in a failure's witness or in the written file.
 
 A model file is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
 document that :func:`save_model` describes.  :func:`save_model` writes that
-layout directly rather than through ``json.dumps``, whose ``indent`` option
-bypasses the C encoder; the tests hold the two to the same bytes.
+layout directly from the index form rather than through ``json.dumps``,
+whose ``indent`` option bypasses the C encoder; the tests hold the two to
+the same bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +51,31 @@ from pathlib import Path
 
 class ModelError(ValueError):
     """Malformed model data: dangling references, duplicates, bad shapes."""
+
+
+# Most full profiles a random model may enumerate at one state, or a blueprint
+# in all.  Their count is |actions|^agents, so it is the agent count that runs
+# away; the tests enumerate at most 216 and the benchmark at most 512 (8 base
+# actions, 3 agents), and a blueprint takes about 20 us per profile.
+PROFILE_CAP = 100_000
+
+
+class ProfileCapError(RuntimeError):
+    """Enumerating the profiles would exceed :data:`PROFILE_CAP`."""
+
+
+def check_profile_count(sizes, what: str) -> None:
+    """Raise :class:`ProfileCapError` when the profiles over per-agent action
+    sets of the given sizes, the product of the sizes, exceed the cap.  The
+    product is formed only up to the cap."""
+    count = 1
+    for size in sizes:
+        count *= size
+        if count > PROFILE_CAP:
+            raise ProfileCapError(
+                f"{what} would enumerate more than {PROFILE_CAP} action profiles"
+                " (the profile cap)"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,13 +121,34 @@ def _known(name, names) -> bool:
 
 
 def _bit_numbers(mask: int) -> list[int]:
-    """The numbers of the set bits of a mask, highest first."""
+    """The numbers of the set bits of a mask, lowest first."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1] if mask else []
+    digits = bin(mask)[:1:-1]
     numbers = []
-    while mask:
-        n = mask.bit_length() - 1
+    n = digits.find("1")
+    while n >= 0:
         numbers.append(n)
-        mask ^= 1 << n
+        n = digits.find("1", n + 1)
     return numbers
+
+
+def _check_names(agents, states: tuple, actions: tuple) -> tuple[dict[str, int], frozenset[str]]:
+    """A model's state index and action set, checked: at least one agent,
+    state and action, and no name twice."""
+    if agents < 1:
+        raise ModelError("a model needs at least one agent")
+    if not states:
+        raise ModelError("a model needs at least one state")
+    if not actions:
+        raise ModelError("a model needs at least one action")
+    index = dict(zip(states, range(len(states))))
+    if len(index) != len(states):
+        raise ModelError("duplicate state names")
+    action_set = frozenset(actions)
+    if len(action_set) != len(actions):
+        raise ModelError("duplicate action names")
+    return index, action_set
 
 
 class Model:
@@ -106,19 +160,21 @@ class Model:
     "listed" and "available with nonempty outcome" coincide.  ``atoms`` is
     the sorted union of the declared and the labelled atoms.
 
-    Index form: ``index`` maps each state to its bit number; ``profiles``
-    holds the distinct profile tuples in order of first occurrence;
+    Index form: ``index`` maps each state to its bit number and
+    ``action_set`` holds the actions; ``profiles`` holds the distinct profile
+    tuples by number and ``profile_numbers`` maps each back to its number;
     ``rows[i]`` maps the numbers of the profiles listed at state i to their
     outcome masks; ``label_masks`` maps each labelled atom to the mask of the
     states it labels.  ``outcomes`` and ``labels`` are the string view of the
     same data: the constructor's input with empty entries dropped or, for a
-    model read from a file, derived from the index form on first use.
-    Equality is structural and does not depend on how the profiles were
-    numbered.
+    model read from a file or glued, derived from the index form on first
+    use.  Equality is structural and does not depend on how the profiles
+    were numbered.
 
     ``sat_cache`` is :func:`cglogic.mcheck.sat_states`'s store of results,
-    formula -> satisfying states.  A model never changes, so neither do they.
-    It takes no part in equality.
+    formula -> satisfying states, and ``mask_memo`` its evaluator's, ``<C>``
+    node -> mask of the states where it holds.  A model never changes, so
+    neither do they.  They take no part in equality.
     """
 
     __hash__ = None
@@ -161,24 +217,12 @@ class Model:
         dictionary lookup.  A (state, profile) pair may occur once, even with
         an empty outcome set.
         """
-        if agents < 1:
-            raise ModelError("a model needs at least one agent")
         states = tuple(states)
         actions = tuple(actions)
-        if not states:
-            raise ModelError("a model needs at least one state")
-        if not actions:
-            raise ModelError("a model needs at least one action")
-        index = {state: i for i, state in enumerate(states)}
-        if len(index) != len(states):
-            raise ModelError("duplicate state names")
-        action_set = frozenset(actions)
-        if len(action_set) != len(actions):
-            raise ModelError("duplicate action names")
+        index, action_set = _check_names(agents, states, actions)
         bit = {state: 1 << i for i, state in enumerate(states)}
 
         numbers: dict[tuple[str, ...], int] = {}
-        profiles: list[tuple[str, ...]] = []
         rows: list[dict[int, int]] = [{} for _ in states]
         row_of = dict(zip(states, rows))
         emptied = False
@@ -196,8 +240,7 @@ class Model:
                 for action in profile:
                     if not _known(action, action_set):
                         raise ModelError(f"unknown action {action!r} at state {state!r}") from None
-                number = numbers[profile] = len(profiles)
-                profiles.append(profile)
+                number = numbers[profile] = len(numbers)
             if number in row:
                 raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
             mask = 0
@@ -221,15 +264,36 @@ class Model:
             for atom in marked:
                 label_masks[atom] = label_masks.get(atom, 0) | b
 
+        self._adopt(agents, actions, action_set, states, index, numbers, rows, label_masks, atoms)
+
+    @classmethod
+    def _glued(cls, agents, actions, states, profiles, rows, label_masks, atoms) -> Model:
+        """Model from an index form glued together from validated models
+        (:func:`cglogic.synth.realize`): rows and label masks are taken as
+        they are, and only the names are checked, for uniqueness."""
+        states = tuple(states)
+        actions = tuple(actions)
+        index, action_set = _check_names(agents, states, actions)
+        numbers = dict(zip(profiles, itertools.count()))
+        model = cls.__new__(cls)
+        model._adopt(agents, actions, action_set, states, index, numbers, rows, label_masks, atoms)
+        return model
+
+    def _adopt(self, agents, actions, action_set, states, index, numbers, rows, label_masks, atoms):
+        """Set the index form; the one place its attributes are assigned.
+        ``numbers`` maps each profile to its number, in number order."""
         self.agents = agents
         self.actions = actions
+        self.action_set = action_set
         self.states = states
         self.atoms = tuple(sorted(label_masks.keys() | set(atoms)))
         self.index = index
-        self.profiles = tuple(profiles)
+        self.profiles = tuple(numbers)
+        self.profile_numbers = numbers
         self.rows = tuple(rows)
         self.label_masks = label_masks
         self.sat_cache: dict = {}
+        self.mask_memo: dict = {}
         self._projections: dict = {}
 
     def __eq__(self, other):
@@ -285,8 +349,8 @@ class Model:
 
     @functools.cached_property
     def outcomes(self) -> dict[str, dict[tuple[str, ...], frozenset[str]]]:
-        """String view of a loaded model: state -> listed profile -> outcome
-        states, states without a listed profile left out."""
+        """String view of a loaded or glued model: state -> listed profile ->
+        outcome states, states without a listed profile left out."""
         profiles, names = self.profiles, self.names
         return {
             state: {profiles[n]: names(mask) for n, mask in row.items()}
@@ -296,7 +360,7 @@ class Model:
 
     @functools.cached_property
     def labels(self) -> dict[str, frozenset[str]]:
-        """String view of a loaded model: state -> the atoms true there."""
+        """String view of a loaded or glued model: state -> the atoms true there."""
         marked: list[set[str]] = [set() for _ in self.states]
         for atom, mask in self.label_masks.items():
             for i in _bit_numbers(mask):
@@ -336,11 +400,11 @@ def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[s
     if len(ja) != len(coalition):
         raise ValueError("joint action must list one action per coalition member")
     for action in ja:
-        if action not in m.actions:
+        if not _known(action, m.action_set):
             raise ModelError(f"unknown action {action!r}")
-    if len(coalition) == m.agents:
-        return m.entries(state).get(ja, frozenset())
     row = m.rows[m.number(state)]
+    if len(coalition) == m.agents:
+        return m.names(row.get(m.profile_numbers.get(ja), 0))
     of_profile, joint = m.projection(coalition)
     mask = 0
     for n, targets in row.items():
@@ -482,52 +546,62 @@ def _json_list(items, indent: str) -> str:
 
 def _model_text(m: Model, pointed: str | None) -> str:
     """The model file's text: ``json.dumps(doc, indent=2) + "\\n"`` for the
-    document described in :func:`save_model`, written directly.
+    document described in :func:`save_model`, written directly from the
+    index form.
 
     Strings go through ``encode_basestring_ascii``, the encoder ``json.dumps``
     uses under its default ``ensure_ascii=True``.  Each state, atom and
     distinct profile is encoded once and its text reused.
     """
     encode = encode_basestring_ascii
-    names = {state: encode(state) for state in m.states}
-    atoms = {atom: encode(atom) for atom in m.atoms}
-    # Distinct label sets and profiles are few; each is laid out once.
-    labels = m.labels
-    label_texts: dict[frozenset[str], str] = {}
+    names = list(map(encode, m.states))
+    # Each state's atoms, in sorted order because the atoms are; distinct
+    # label sets are few, and each is laid out once.
+    marked: list[list[str]] = [[] for _ in names]
+    for atom in m.atoms:
+        text = encode(atom)
+        for i in _bit_numbers(m.label_masks.get(atom, 0)):
+            marked[i].append(text)
+    label_texts: dict[tuple[str, ...], str] = {}
     label_lines = []
-    for state in m.states:
-        marked = labels[state]
-        text = label_texts.get(marked)
+    for name, atoms in zip(names, marked):
+        atoms = tuple(atoms)
+        text = label_texts.get(atoms)
         if text is None:
-            text = label_texts[marked] = _json_list([atoms[a] for a in sorted(marked)], "      ")
-        label_lines.append("    " + names[state] + ": " + text)
+            text = label_texts[atoms] = _json_list(atoms, "      ")
+        label_lines.append("    " + name + ": " + text)
     # An entry is its state's head, its profile's text up to the outcome
     # list, and that list, which is never empty, with the closing brace.
-    outcomes = m.outcomes
-    profile_texts: dict[tuple[str, ...], str] = {}
+    # Profiles are written in tuple order and outcome states in name order.
+    profiles = m.profiles
+    profile_texts: list[str | None] = [None] * len(profiles)
     entries = []
-    for state in m.states:
-        row = outcomes.get(state)
+    for name, row in zip(names, m.rows):
         if not row:
             continue
-        head = '{\n      "state": ' + names[state] + ',\n      "profile": '
-        for profile in sorted(row):
-            text = profile_texts.get(profile)
+        head = '{\n      "state": ' + name + ',\n      "profile": '
+        for n in sorted(row, key=profiles.__getitem__):
+            text = profile_texts[n]
             if text is None:
-                text = _json_list(list(map(encode, profile)), "        ") + ',\n      "to": [\n        '
-                profile_texts[profile] = text
-            to = ",\n        ".join(map(names.__getitem__, sorted(row[profile])))
+                text = _json_list(list(map(encode, profiles[n])), "        ")
+                text = profile_texts[n] = text + ',\n      "to": [\n        '
+            mask = row[n]
+            if mask & (mask - 1):
+                targets = sorted(_bit_numbers(mask), key=m.states.__getitem__)
+                to = ",\n        ".join(map(names.__getitem__, targets))
+            else:
+                to = names[mask.bit_length() - 1]
             entries.append(head + text + to + "\n      ]\n    }")
     fields = [
         '{\n  "agents": ' + int.__repr__(m.agents),
         '  "actions": ' + _json_list(list(map(encode, m.actions)), "    "),
-        '  "states": ' + _json_list(list(names.values()), "    "),
-        '  "atoms": ' + _json_list(list(atoms.values()), "    "),
+        '  "states": ' + _json_list(names, "    "),
+        '  "atoms": ' + _json_list(list(map(encode, m.atoms)), "    "),
         '  "labels": {\n' + ",\n".join(label_lines) + "\n  }",
         '  "outcomes": ' + _json_list(entries, "    "),
     ]
     if pointed is not None:
-        fields.append('  "pointed": ' + names[pointed])
+        fields.append('  "pointed": ' + names[m.index[pointed]])
     return ",\n".join(fields) + "\n}\n"
 
 
@@ -639,6 +713,9 @@ class RandomModelConfig:
 def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> Model:
     """Seeded random model guaranteed to satisfy the logic's frame properties.
 
+    Raises :class:`ProfileCapError` before enumerating more than
+    :data:`PROFILE_CAP` profiles at a state.
+
     Availability is generated agent-wise when independence is required (a
     profile is enabled iff each agent's action is individually enabled),
     which yields independent frames by construction; seriality keeps every
@@ -661,8 +738,10 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
                 rng.sample(actions, rng.randint(lowest, len(actions)))
                 for _ in range(cfg.agents)
             ]
+            check_profile_count(map(len, enabled), f"random model state {state!r}")
             chosen = list(itertools.product(*enabled))
         else:
+            check_profile_count(itertools.repeat(len(actions), cfg.agents), "random model")
             pool = list(itertools.product(actions, repeat=cfg.agents))
             count = rng.randint(1 if logic.has_S else 0, len(pool))
             chosen = rng.sample(pool, count)

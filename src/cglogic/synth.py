@@ -23,6 +23,7 @@ from .models import (
     Model,
     PointedModel,
     available_actions,
+    check_profile_count,
     independence_witness,
     validate_model,
 )
@@ -70,10 +71,13 @@ class Blueprint:
 
     def __post_init__(self):
         table = {}
+        base = frozenset(self.base_actions)
         for profile, formulas in self.listing.items():
             profile = tuple(profile)
             if len(profile) != self.agents:
                 raise ValueError(f"profile {profile!r} must list one action per agent")
+            if not base.issuperset(profile):
+                raise ValueError(f"profile {profile!r} plays an action that is not a base action")
             formulas = frozenset(formulas)
             if formulas:
                 table[profile] = formulas
@@ -112,6 +116,8 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
     Requires that every reduction of the negated clause fails for the logic
     (otherwise some listed formula is unsatisfiable, detected downstream).
     A profile gets a nonempty listing exactly when its support is neat.
+    Raises :class:`cglogic.models.ProfileCapError` before enumerating more
+    than :data:`cglogic.models.PROFILE_CAP` profiles.
     """
     negatives = sc.negatives
     positives = sc.positives
@@ -120,6 +126,7 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
         pos_action(j) for j in range(len(positives))
     )
     basics = sorted(basic_positive_indices(sc))
+    check_profile_count(itertools.repeat(len(base), sc.agents), "blueprint")
     listing: dict[tuple[str, ...], frozenset[Formula]] = {}
     for profile in itertools.product(base, repeat=sc.agents):
         supp = support(negatives, ag, profile)
@@ -169,23 +176,6 @@ def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     return True
 
 
-def _prefixed(prefix: str, model: Model):
-    """The model's state names, actions, outcome table and labels with every
-    state and action name prefixed; the glued model that takes them in is
-    validated as a whole."""
-    states = {s: prefix + s for s in model.states}
-    actions = {a: prefix + a for a in model.actions}
-    outcomes = {
-        states[s]: {
-            tuple(actions[a] for a in profile): frozenset(states[t] for t in targets)
-            for profile, targets in entries.items()
-        }
-        for s, entries in model.outcomes.items()
-    }
-    labels = {states[s]: model.labels[s] for s in model.states}
-    return states, actions.values(), outcomes, labels
-
-
 ROOT_STATE = "s0"
 
 
@@ -195,9 +185,13 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
     ``gamma`` is a set of propositional literals without complementary pairs;
     the root is labeled with its positive atoms.  ``provider`` maps each
     listed formula to a pointed model of the right logic satisfying it.
-    Submodel state and action namespaces are kept disjoint by prefixing them
-    with the profile and the formula's position, so the base actions (which
-    never contain ``#``) survive unchanged.  The realization conditions are
+    The glued model is built in index form: each submodel's states follow
+    the ones before it, so its rows and label masks are shifted by that
+    state offset and its profile numbers by the profiles before it.  Its
+    state and action names are prefixed with the profile and the formula's
+    position, keeping the namespaces disjoint; the base actions never
+    contain ``#`` and survive unchanged.  The root lists each listed profile
+    with the mask of its submodels' roots.  The realization conditions are
     verified on the glued model and any breach raises RealizationError.
     """
     gamma = frozenset(gamma)
@@ -207,40 +201,41 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
         if literal.complement() in gamma:
             raise ValueError(f"gamma contains complementary pair on {literal.atom!r}")
 
+    listed = sorted(bp.listing)
     states = [ROOT_STATE]
     actions = list(bp.base_actions)
+    profiles = list(listed)
+    root_row: dict[int, int] = {}
+    rows = [root_row]
+    label_masks = {literal.atom: 1 for literal in gamma if literal.positive}
     atoms = {literal.atom for literal in gamma}
-    outcomes: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    labels: dict[str, frozenset[str]] = {
-        ROOT_STATE: frozenset(l.atom for l in gamma if l.positive)
-    }
-    root_entries: dict[tuple[str, ...], frozenset[str]] = {}
     witness_roots: list[tuple[tuple[str, ...], Formula, str]] = []
 
-    for profile in sorted(bp.listing):
-        formulas = sorted(bp.listing[profile], key=render)
-        roots = []
-        for k, formula in enumerate(formulas):
+    for number, profile in enumerate(listed):
+        roots = 0
+        for k, formula in enumerate(sorted(bp.listing[profile], key=render)):
             pointed = provider(formula)
-            if pointed.model.agents != bp.agents:
+            sub = pointed.model
+            if sub.agents != bp.agents:
                 raise RealizationError("submodel has a different agent count")
-            names, sub_actions, sub_outcomes, sub_labels = _prefixed(
-                f"{','.join(profile)}#{k}#", pointed.model
+            prefix = f"{','.join(profile)}#{k}#"
+            offset, shift = len(states), len(profiles)
+            renamed = {action: prefix + action for action in sub.actions}
+            states.extend([prefix + state for state in sub.states])
+            actions.extend(renamed.values())
+            profiles.extend([tuple(map(renamed.__getitem__, p)) for p in sub.profiles])
+            rows.extend(
+                [{n + shift: mask << offset for n, mask in row.items()} for row in sub.rows]
             )
-            states.extend(names.values())
-            actions.extend(sub_actions)
-            atoms.update(pointed.model.atoms)
-            outcomes.update(sub_outcomes)
-            labels.update(sub_labels)
-            root = names[pointed.state]
-            roots.append(root)
-            witness_roots.append((profile, formula, root))
-        root_entries[profile] = frozenset(roots)
-    outcomes[ROOT_STATE] = root_entries
+            for atom, mask in sub.label_masks.items():
+                label_masks[atom] = label_masks.get(atom, 0) | mask << offset
+            atoms.update(sub.atoms)
+            root = offset + sub.index[pointed.state]
+            roots |= 1 << root
+            witness_roots.append((profile, formula, states[root]))
+        root_row[number] = roots
 
-    model = Model(
-        bp.agents, tuple(actions), tuple(states), outcomes, labels, tuple(sorted(atoms))
-    )
+    model = Model._glued(bp.agents, actions, states, profiles, rows, label_masks, atoms)
     _verify_realization(model, bp, gamma, witness_roots, logic)
     return PointedModel(model, ROOT_STATE)
 
@@ -253,9 +248,9 @@ def _verify_realization(model: Model, bp: Blueprint, gamma, witness_roots, logic
     # coalition.
     if available_actions(model, ROOT_STATE, full) != set(bp.listing):
         raise RealizationError("availability at the root differs from the blueprint")
-    root_labels = model.labels[ROOT_STATE]
+    root_bit = 1 << model.index[ROOT_STATE]
     for literal in gamma:
-        if literal.positive != (literal.atom in root_labels):
+        if literal.positive != bool(model.label_masks.get(literal.atom, 0) & root_bit):
             raise RealizationError(f"root does not satisfy literal {literal!r}")
     for profile, formula, root in witness_roots:
         if not satisfies(model, root, formula):

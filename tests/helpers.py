@@ -6,8 +6,10 @@ checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
 are tested against, the recursive structural measures that the fields
 stored on interned formula nodes are tested against, and the recursive
 negation and conjunctive normal forms that the skeleton-program distribution
-of ``cglogic.normalform`` is tested against, and the model-file document
-that ``cglogic.models.save_model``'s bytes are tested against."""
+of ``cglogic.normalform`` is tested against, the model-file document
+that ``cglogic.models.save_model``'s bytes are tested against, and the
+renaming glue that ``cglogic.synth.realize``'s gluing by state offset is
+tested against."""
 
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from cglogic import (
 )
 from cglogic.models import Violation, independence_witness
 from cglogic.normalform import ClauseCapError
-from cglogic.syntax import And, Atom, Coal, Not, Top
+from cglogic.synth import ROOT_STATE
+from cglogic.syntax import And, Atom, Coal, Not, Top, render
 
 
 def loop_model(agents=1, actions=("a",), labels=("p",), atoms=("p", "q")):
@@ -437,3 +440,62 @@ def reference_doc(m, pointed=None) -> dict:
     if pointed is not None:
         doc["pointed"] = pointed
     return doc
+
+
+def _prefixed(prefix: str, model):
+    """The model's state names, actions, outcome table and labels with every
+    state and action name prefixed, read from its string view."""
+    states = {s: prefix + s for s in model.states}
+    actions = {a: prefix + a for a in model.actions}
+    outcomes = {
+        states[s]: {
+            tuple(actions[a] for a in profile): frozenset(states[t] for t in targets)
+            for profile, targets in entries.items()
+        }
+        for s, entries in model.outcomes.items()
+    }
+    labels = {states[s]: model.labels[s] for s in model.states}
+    return states, actions.values(), outcomes, labels
+
+
+def reference_glue(bp, gamma, provider):
+    """The model ``realize(bp, gamma, provider, logic)`` glues, built by
+    renaming every state and action of every submodel in its string view and
+    passing the whole table through ``Model(...)``."""
+    states = [ROOT_STATE]
+    actions = list(bp.base_actions)
+    atoms = {literal.atom for literal in gamma}
+    outcomes = {}
+    labels = {ROOT_STATE: frozenset(l.atom for l in gamma if l.positive)}
+    root_entries = {}
+    for profile in sorted(bp.listing):
+        roots = []
+        for k, formula in enumerate(sorted(bp.listing[profile], key=render)):
+            pointed = provider(formula)
+            names, sub_actions, sub_outcomes, sub_labels = _prefixed(
+                f"{','.join(profile)}#{k}#", pointed.model
+            )
+            states.extend(names.values())
+            actions.extend(sub_actions)
+            atoms.update(pointed.model.atoms)
+            outcomes.update(sub_outcomes)
+            labels.update(sub_labels)
+            roots.append(names[pointed.state])
+        root_entries[profile] = frozenset(roots)
+    outcomes[ROOT_STATE] = root_entries
+    atoms = tuple(sorted(atoms))
+    return Model(bp.agents, tuple(actions), tuple(states), outcomes, labels, atoms)
+
+
+def coal_nodes(f) -> set:
+    """The ``<C>`` nodes of a formula, by recursion over the tree."""
+    match f:
+        case Top() | Atom():
+            return set()
+        case Not(child):
+            return coal_nodes(child)
+        case And(left, right):
+            return coal_nodes(left) | coal_nodes(right)
+        case Coal(_, child):
+            return {f} | coal_nodes(child)
+    raise TypeError(f"not a formula: {f!r}")

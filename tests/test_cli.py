@@ -166,7 +166,7 @@ def test_gen_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     run(capsys, "gen", "--logic", "ID", "--seed", "9", "--out", a)
     run(capsys, "gen", "--logic", "ID", "--seed", "9", "--out", b)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_fuzz_clean_run(capsys, tmp_path, monkeypatch):
@@ -204,6 +204,25 @@ def test_cap_exit_code(capsys):
     blowup = " | ".join(f"(x{i} & y{i})" for i in range(18)) + " | <0>z"
     code, _, err = run(capsys, "check", "--logic", "E", "--agents", "1", blowup)
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--logic", "E", "--iters", "1"],
+        ["gen", "--logic", "E", "--out", "gen.json"],
+        ["sat", "--logic", "E", "--model", "model.json", "<0>p & <1>q & ~<0,1>(p & q)"],
+    ],
+    ids=["fuzz", "gen", "sat"],
+)
+def test_profile_cap_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # With 40 agents a random model or a blueprint would enumerate 2^40 or
+    # more profiles; the count is checked before any is built.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv[:3], "--agents", "40", *argv[3:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.strip().endswith("(the profile cap)")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point():

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import helpers
+from cglogic import mcheck
 from cglogic import (
     ALL_LOGICS,
     FrameProperties,
@@ -175,6 +176,46 @@ def test_sat_states_releases_the_model_without_cyclic_gc():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_formulas_on_one_model_share_their_coalition_nodes(monkeypatch):
+    # A formula evaluated after another on the same model evaluates only the
+    # <C> nodes the first did not have, and both answers equal evaluations
+    # on fresh copies of the model.
+    able = mcheck._able
+    calls = []
+
+    def counting(m, coalition, bad):
+        calls.append(coalition)
+        return able(m, coalition, bad)
+
+    monkeypatch.setattr(mcheck, "_able", counting)
+    q = Atom("q")
+    inner = Coal(frozenset({0}), P)
+    designed = (
+        And(inner, Not(Coal(frozenset(), inner))),
+        Not(And(Not(Coal(frozenset(), inner)), Not(Coal(frozenset({0}), q)))),
+    )
+    shared_seen = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        agents = helpers.perturbed_model(seed).agents
+        first = random_formula(rng, 2, agents, ("p", "q"))
+        shared = sorted(helpers.coal_nodes(first), key=render) or [inner]
+        second = And(rng.choice(shared), random_formula(rng, 1, agents, ("p", "q")))
+        for f, g in (designed, (first, second)):
+            m = helpers.perturbed_model(seed)
+            answers = []
+            old = helpers.coal_nodes(f)
+            for h, new in ((f, old), (g, helpers.coal_nodes(g) - old)):
+                calls.clear()
+                answers.append(sat_states(m, h))
+                assert len(calls) == len(new), (seed, render(h))
+            shared_seen += not old.isdisjoint(helpers.coal_nodes(g))
+            for h, answer in zip((f, g), answers):
+                fresh = Model(*helpers.perturbed_parts(seed))
+                assert answer == sat_states(fresh, h), (seed, render(h))
+    assert shared_seen > 400
 
 
 def test_cached_sat_states_equal_a_fresh_evaluation():

@@ -1,14 +1,15 @@
+import json
 import random
 
 import pytest
 
 import helpers
 from cglogic import ALL_LOGICS
-from cglogic import mcheck
+from cglogic import mcheck, synth
 from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
-from cglogic.models import Model, available_actions, coalitions, validate_model
+from cglogic.models import Model, available_actions, coalitions, save_model, validate_model
 from cglogic.normalform import (
     Literal,
     StandardConjunction,
@@ -244,25 +245,83 @@ def test_verification_evaluates_each_listed_formula_once(monkeypatch):
     f = parse("<0>p & ~<0>q", 1)
     pointed = synthesize(f, E, 1)
     evaluate = mcheck._eval_at
-    fresh_memos = []
+    evaluated = []
 
     def counting(m, everything, memo, node):
-        if not memo and all(memo is not seen for seen in fresh_memos):
-            fresh_memos.append(memo)
+        if node is f:
+            evaluated.append(m)
         return evaluate(m, everything, memo, node)
 
     def evaluations(profiles):
         base = tuple(neg_action(i) for i in range(profiles))
         bp = Blueprint(1, base, {(a,): frozenset({f}) for a in base})
-        fresh_memos.clear()
+        evaluated.clear()
         monkeypatch.setattr(mcheck, "_eval_at", counting)
         try:
             realize(bp, frozenset(), lambda chi: pointed, E)
         finally:
             monkeypatch.setattr(mcheck, "_eval_at", evaluate)
-        return len(fresh_memos)
+        return len(evaluated)
 
-    assert evaluations(2) == evaluations(12) >= 1
+    assert evaluations(2) == evaluations(12) == 1
+
+
+def negated_fan(k):
+    """~(fan-k): the conjunction of <{i mod 3}>x_i over i < k, and not
+    <0,1,2>(x_0 & ... & x_{k-1})."""
+    xs = [Atom(f"x{i}") for i in range(k)]
+    abilities = big_and([Coal(frozenset({i % 3}), x) for i, x in enumerate(xs)])
+    return And(abilities, Not(Coal(frozenset({0, 1, 2}), big_and(xs))))
+
+
+def test_realize_glues_what_the_renaming_reference_glues(monkeypatch, tmp_path):
+    # Every realize call of a synthesis, at every recursion level, is checked
+    # against the model that renaming each submodel's string view and
+    # rebuilding the whole table with Model(...) gives, and so are the bytes
+    # its file gets.
+    path = tmp_path / "m.json"
+    glued = []
+    real = synth.realize
+
+    def checked(bp, gamma, provider, logic):
+        pointed = real(bp, gamma, provider, logic)
+        reference = helpers.reference_glue(bp, gamma, provider)
+        assert pointed.model == reference
+        save_model(pointed.model, path, pointed=pointed.state)
+        text = json.dumps(helpers.reference_doc(reference, pointed.state), indent=2) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+        glued.append(len(reference.states))
+        return pointed
+
+    monkeypatch.setattr(synth, "realize", checked)
+    for index, x in enumerate(ALL_LOGICS):
+        # the first draws of criterion 5's pool for this logic
+        rng = random.Random(303 + index)
+        for _ in range(25):
+            synthesize(random_formula(rng, 2, 2, ("p", "q")), x, 2)
+    draws = len(glued)
+    for x in (E, SID):
+        for k in (3, 4, 5):
+            assert (synthesize(negated_fan(k), x, 3) is None) == (x == SID and k == 3)
+    assert draws >= 100 and len(glued) > draws and max(glued) > 500
+
+
+def test_synthesis_and_writing_never_derive_the_string_view(monkeypatch, tmp_path):
+    # Glued models are checked and written from the index form alone.
+    class Refused:
+        def __get__(self, model, owner=None):
+            raise AssertionError("string view derived")
+
+    monkeypatch.setattr(Model, "outcomes", Refused())
+    monkeypatch.setattr(Model, "labels", Refused())
+    rng = random.Random(54)
+    formulas = [(negated_fan(k), 3) for k in (3, 4)]
+    formulas += [(random_formula(rng, 2, 2, ("p", "q")), 2) for _ in range(20)]
+    for x in ALL_LOGICS:
+        for f, agents in formulas:
+            pointed = synthesize(f, x, agents)
+            if pointed is not None:
+                save_model(pointed.model, tmp_path / "m.json", pointed=pointed.state)
 
 
 def test_synthesize_base_case():
