@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
 output directory), 3 resource cap exceeded (the clause cap, the profile cap
-on the action profiles a random model or a blueprint enumerates, or `<C>` or
-parentheses nested deeper than the recursion limit).  Output is line-oriented
-text; --json switches each command to a single machine-readable record.
+on the profiles a random model or a blueprint enumerates and on the agent
+count, or `<C>` or parentheses nested deeper than the recursion limit).  Output
+is line-oriented text; --json switches each command to one JSON record.
 
 Formula traversals do not recurse on `~` or `&`, which may nest to any depth.
 Two things are bounded by the recursion limit: nested `<C>` (modal depth), as
@@ -28,6 +28,7 @@ from .models import (
     ModelError,
     ProfileCapError,
     RandomModelConfig,
+    check_agent_count,
     frame_properties,
     load_model,
     random_model,
@@ -41,18 +42,18 @@ from .syntax import ParseError, parse, random_formula, render
 # Desk-scale guidance for `check`, `sat` and `fuzz`, whose cost grows with the
 # formula: `decide._neat_subsets` tries all 2^k subsets of a clause's k
 # antecedents, and `synth.build_blueprint` enumerates |base actions|^agents
-# profiles, with one base action per antecedent and per consequent.  A
-# blueprint or a random model (`gen`, `fuzz`) that would enumerate more than
-# `models.PROFILE_CAP` profiles exits 3 before building any; 17 agents with
-# two actions already do.  `sat --model` glues one submodel per listed profile
-# and formula: gluing copies each submodel's rows once, shifted by its state
-# offset, and checking the glued model evaluates each `<C>` node of its listed
-# formulas once.  `mc` and `props` are linear in the model file: loading is
-# one validating pass over its outcome entries (JSON decoding is about half of
-# a 500-state load), after which states are bits of an int.  Each `<C>` node
-# of an `mc` formula is one pass over the listed profiles, each other node one
-# mask operation, and each frame check of `props` one pass; both handle models
-# of hundreds of states.
+# profiles, one base action per antecedent and per consequent.  A blueprint or
+# random model (`gen`, `fuzz`) that would enumerate more than
+# `models.PROFILE_CAP` profiles exits 3 before building any (17 agents with two
+# actions already do), as does an agent count above it.  `sat --model` decides
+# all its levels with one validity oracle, synthesizes each listed formula
+# once, and glues a copy per listed profile and formula by state offset;
+# checking the glued model evaluates each `<C>` node of its listed formulas
+# once.  `mc` and `props` are linear in the model file: loading is one
+# validating pass over its outcome entries (JSON decoding is about half of a
+# 500-state load), after which states are bits of an int, each `<C>` node of
+# an `mc` formula is one pass over the listed profiles, each other node one
+# mask operation, and each frame check of `props` one pass over the rows.
 SCALE_NOTE = (
     "check, sat and fuzz are intended for desk-scale formulas and countermodels"
     " (agents <= 3, actions <= 4, small modal depth); mc and props are linear in"
@@ -237,6 +238,7 @@ def cmd_fuzz(args) -> int:
     for option, value in (("--iters", args.iters), ("--depth", args.depth)):
         if value < 0:
             raise ValueError(f"{option} must be >= 0, got {value}")
+    check_agent_count(args.agents)
     for iteration in range(args.iters):
         rng = random.Random(args.seed * 1_000_003 + iteration)
         outcome = _fuzz_iteration(logic, args.agents, args.depth, atoms, rng, 3)

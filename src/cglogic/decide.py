@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .logics import LogicId
+from .models import check_agent_count
 from .normalform import (
     DEFAULT_CLAUSE_CAP,
     StandardDisjunction,
@@ -149,9 +150,10 @@ def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> Reduction
 
 
 def check_agents(f: Formula, agents: int) -> None:
-    """Reject a session without agents, or a formula naming an agent it lacks."""
+    """Reject too few or too many agents, or a formula naming an agent it lacks."""
     if agents < 1:
         raise ValueError("agents must be >= 1")
+    check_agent_count(agents)
     worst = max_agent(f)
     if worst >= agents:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")

@@ -12,24 +12,24 @@ order, ``tuple(p[a] for a in sorted(C))``, so a full profile is the grand
 coalition's joint action.  A joint action's outcome is the union over the
 listed profiles that extend it.  :meth:`Model.projection` numbers a
 coalition's joint actions and maps every profile number onto one, once per
-model and coalition; availability, outcomes, the independence check and the
-``<C>`` clause of model checking all read it.
+model and coalition; availability, outcomes and the ``<C>`` clause of model
+checking read it.
 
 A model is built by one of three routes, and ``Model._adopt`` is the one
 place that sets the index form for all of them:
 
-- the ``Model(...)`` constructor runs the validating pass over the nested
-  outcome table and keeps that table, empty entries dropped, as the string
-  view (``outcomes``, ``labels``, :meth:`Model.entries`);
-- :func:`load_model` runs the same pass over the model file's entries as
-  they are decoded, so nothing is copied or checked twice;
+- the ``Model(...)`` constructor runs the validating pass over its nested
+  outcome table, flattened into entries, and :func:`load_model` over the
+  model file's entries as they are decoded;
 - :func:`cglogic.synth.realize` glues validated models by state offset and
   hands over the finished index form; only the names are checked again.
 
-A loaded or glued model derives its string view from the index form only
-when something asks for it.  Model checking, the frame checks and
-:func:`save_model` never ask: they work on masks and name states and joint
-actions only in a failure's witness or in the written file.
+No model keeps a string table: the string view (``outcomes``, ``labels``,
+:meth:`Model.entries`) is derived from the index form on first use.  Model
+checking, the frame checks and :func:`save_model` work on masks and name
+states and joint actions only in a failure's witness or in the written
+file.  The frame checks read rows, so they also check a blueprint's root
+row (:func:`cglogic.synth.check_regular`).
 
 A model file is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
 document that :func:`save_model` describes.  :func:`save_model` writes that
@@ -78,6 +78,14 @@ def check_profile_count(sizes, what: str) -> None:
             )
 
 
+def check_agent_count(agents: int) -> None:
+    """Raise :class:`ProfileCapError` for more agents than :data:`PROFILE_CAP`,
+    before anything is built for them: a single profile would be that long."""
+    if agents > PROFILE_CAP:
+        cap = f"the agent cap ({PROFILE_CAP}, the profile cap)"
+        raise ProfileCapError(f"{agents} agents exceed {cap}")
+
+
 @dataclass(frozen=True)
 class FrameProperties:
     serial: bool
@@ -122,8 +130,13 @@ def _known(name, names) -> bool:
 
 def _bit_numbers(mask: int) -> list[int]:
     """The numbers of the set bits of a mask, lowest first."""
-    if not mask & (mask - 1):
-        return [mask.bit_length() - 1] if mask else []
+    if mask.bit_count() <= 8:  # few bits: peel off the lowest one at a time
+        numbers = []
+        while mask:
+            low = mask & -mask
+            numbers.append(low.bit_length() - 1)
+            mask ^= low
+        return numbers
     digits = bin(mask)[:1:-1]
     numbers = []
     n = digits.find("1")
@@ -166,10 +179,10 @@ class Model:
     ``rows[i]`` maps the numbers of the profiles listed at state i to their
     outcome masks; ``label_masks`` maps each labelled atom to the mask of the
     states it labels.  ``outcomes`` and ``labels`` are the string view of the
-    same data: the constructor's input with empty entries dropped or, for a
-    model read from a file or glued, derived from the index form on first
-    use.  Equality is structural and does not depend on how the profiles
-    were numbered.
+    same data, derived from the index form on first use: for a constructed
+    model, its input with empty outcome sets and empty rows dropped.
+    Equality is structural and does not depend on how the profiles were
+    numbered.
 
     ``sat_cache`` is :func:`cglogic.mcheck.sat_states`'s store of results,
     formula -> satisfying states, and ``mask_memo`` its evaluator's, ``<C>``
@@ -180,35 +193,11 @@ class Model:
     __hash__ = None
 
     def __init__(self, agents, actions, states, outcomes, labels, atoms=()):
-        # The string view is the given table with empty entries dropped,
-        # collected while the validating pass reads it.  Deriving it from the
-        # masks instead took 80 ms rather than 7 ms for the tables of the
-        # benchmark's 15 set-up models.
-        table: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-
-        def entries():
-            for state, row in outcomes.items():
-                listed = table[state] = {}
-                for profile, targets in row.items():
-                    targets = frozenset(targets)
-                    if targets:
-                        listed[profile] = targets
-                    yield state, profile, targets
-
-        self._index(agents, actions, states, entries(), labels.items(), atoms)
+        entries = ((s, p, targets) for s, row in outcomes.items() for p, targets in row.items())
+        self._index(agents, actions, states, entries, labels.items(), atoms)
         if not self.index.keys() >= outcomes.keys():
             state = next(s for s in outcomes if s not in self.index)
             raise ModelError(f"outcome entry for unknown state {state!r}")
-        self.outcomes = {state: listed for state, listed in table.items() if listed}
-        self.labels = {state: frozenset(labels.get(state, ())) for state in self.states}
-
-    @classmethod
-    def _from_entries(cls, agents, actions, states, entries, labels, atoms) -> Model:
-        """Model from flat (state, profile tuple, outcome states) entries and
-        (state, atoms) label pairs, as a model file lists them."""
-        model = cls.__new__(cls)
-        model._index(agents, actions, states, entries, labels, atoms)
-        return model
 
     def _index(self, agents, actions, states, entries, labels, atoms) -> None:
         """The one validating pass that builds the index form.
@@ -349,18 +338,23 @@ class Model:
 
     @functools.cached_property
     def outcomes(self) -> dict[str, dict[tuple[str, ...], frozenset[str]]]:
-        """String view of a loaded or glued model: state -> listed profile ->
-        outcome states, states without a listed profile left out."""
+        """String view: state -> listed profile -> outcome states, states
+        without a listed profile left out.  Most outcome sets are one state,
+        and each state's singleton is built once."""
         profiles, names = self.profiles, self.names
+        single = [frozenset((state,)) for state in self.states]
         return {
-            state: {profiles[n]: names(mask) for n, mask in row.items()}
+            state: {
+                profiles[n]: names(mask) if mask & (mask - 1) else single[mask.bit_length() - 1]
+                for n, mask in row.items()
+            }
             for state, row in zip(self.states, self.rows)
             if row
         }
 
     @functools.cached_property
     def labels(self) -> dict[str, frozenset[str]]:
-        """String view of a loaded or glued model: state -> the atoms true there."""
+        """String view: state -> the atoms true there."""
         marked: list[set[str]] = [set() for _ in self.states]
         for atom, mask in self.label_masks.items():
             for i in _bit_numbers(mask):
@@ -428,7 +422,7 @@ def coalitions(agents: int):
             yield frozenset(combo)
 
 
-def _serial_violation(m: Model) -> Violation | None:
+def _serial_violation(agents, states, rows, profiles) -> Violation | None:
     """First state where some coalition has no available joint action.
 
     Availability for a coalition C is the projection {p|C : p in P} of the
@@ -438,7 +432,7 @@ def _serial_violation(m: Model) -> Violation | None:
     with the empty coalition, the first coalition in :func:`coalitions`
     order, which is the witness an exhaustive search over coalitions finds.
     """
-    for state, row in zip(m.states, m.rows):
+    for state, row in zip(states, rows):
         if not row:
             return Violation("serial", state, (frozenset(),), ())
     return None
@@ -484,55 +478,61 @@ def independence_witness(
     )
 
 
-def _independent_violation(m: Model) -> Violation | None:
+def _independent_violation(agents, states, rows, profiles) -> Violation | None:
     """First state whose listed profiles are not the product of their
-    per-agent projections, decided by counting: the per-agent projections
-    are the singleton coalitions' :meth:`Model.projection`.  The witness is
-    built from the failing state's profiles alone; see
-    :func:`independence_witness`."""
-    singles = [m.projection((a,))[0] for a in range(m.agents)]
-    for state, row in zip(m.states, m.rows):
-        if len(row) > 1 and len(row) != math.prod(len({s[n] for n in row}) for s in singles):
-            witness = independence_witness({m.profiles[n] for n in row})
+    per-agent projections, decided by counting each agent's actions in its
+    column of the profiles.  The witness is built from the failing state's
+    profiles alone; see :func:`independence_witness`."""
+    columns = tuple(zip(*profiles))
+    for state, row in zip(states, rows):
+        if len(row) > 1 and len(row) != math.prod(len({c[n] for n in row}) for c in columns):
+            witness = independence_witness({profiles[n] for n in row})
             return Violation("independent", state, *witness)
     return None
 
 
-def _deterministic_violation(m: Model) -> Violation | None:
+def _deterministic_violation(agents, states, rows, profiles) -> Violation | None:
     """First state with a profile of more than one outcome; the witness is
     its least such profile."""
-    if all(mask.bit_count() <= 1 for row in m.rows for mask in row.values()):
+    if all(mask.bit_count() <= 1 for row in rows for mask in row.values()):
         return None
-    for state, row in zip(m.states, m.rows):
-        forked = [m.profiles[n] for n, mask in row.items() if mask.bit_count() > 1]
+    for state, row in zip(states, rows):
+        forked = [profiles[n] for n, mask in row.items() if mask.bit_count() > 1]
         if forked:
-            return Violation("deterministic", state, (m.full_coalition(),), (min(forked),))
+            return Violation("deterministic", state, (frozenset(range(agents)),), (min(forked),))
     return None
 
 
+# Each frame property's flag on a logic and its check of index-form rows, in
+# FrameProperties order.
 _CHECKS = (
-    ("serial", "has_S", _serial_violation),
-    ("independent", "has_I", _independent_violation),
-    ("deterministic", "has_D", _deterministic_violation),
+    ("has_S", _serial_violation),
+    ("has_I", _independent_violation),
+    ("has_D", _deterministic_violation),
 )
 
 
 def frame_properties(m: Model) -> FrameProperties:
     return FrameProperties(
-        serial=_serial_violation(m) is None,
-        independent=_independent_violation(m) is None,
-        deterministic=_deterministic_violation(m) is None,
+        *(finder(m.agents, m.states, m.rows, m.profiles) is None for _, finder in _CHECKS)
     )
+
+
+def frame_violation(logic, agents, states, rows, profiles) -> Violation | None:
+    """First failure of the frame properties the logic assumes, in S, I, D
+    order, over index-form rows (see ``_CHECKS``), or None."""
+    for flag, finder in _CHECKS:
+        if getattr(logic, flag):
+            violation = finder(agents, states, rows, profiles)
+            if violation is not None:
+                return violation
+    return None
 
 
 def validate_model(m: Model, logic) -> ValidationReport:
     """Check the frame properties named by the logic; report the first failure."""
-    for _, flag, finder in _CHECKS:
-        if getattr(logic, flag):
-            violation = finder(m)
-            if violation is not None:
-                return ValidationReport(False, violation)
-    return ValidationReport(True)
+    violation = frame_violation(logic, m.agents, m.states, m.rows, m.profiles)
+    return ValidationReport(violation is None, violation)
 
 
 def _json_list(items, indent: str) -> str:
@@ -657,7 +657,8 @@ def _model_from_doc(doc) -> tuple[Model, str | None]:
     outcomes = doc.get("outcomes", [])
     if type(outcomes) is not list:
         raise ModelError("'outcomes' must be a list of entries")
-    model = Model._from_entries(
+    model = Model.__new__(Model)
+    model._index(
         agents, actions, states, _doc_entries(outcomes), _doc_labels(labels, set(atoms)), atoms
     )
     pointed = doc.get("pointed")
@@ -713,8 +714,8 @@ class RandomModelConfig:
 def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> Model:
     """Seeded random model guaranteed to satisfy the logic's frame properties.
 
-    Raises :class:`ProfileCapError` before enumerating more than
-    :data:`PROFILE_CAP` profiles at a state.
+    Raises :class:`ProfileCapError` for more than :data:`PROFILE_CAP` agents,
+    and before enumerating more than that many profiles at a state.
 
     Availability is generated agent-wise when independence is required (a
     profile is enabled iff each agent's action is individually enabled),
@@ -726,6 +727,7 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
 
     if min(cfg.num_states, cfg.num_actions, cfg.agents, cfg.branching) < 1:
         raise ValueError("all RandomModelConfig bounds must be >= 1")
+    check_agent_count(cfg.agents)
     rng = _random.Random(seed)
     states = [f"s{i}" for i in range(cfg.num_states)]
     actions = [f"a{i}" for i in range(cfg.num_actions)]

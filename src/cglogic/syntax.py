@@ -30,6 +30,8 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 
+from .models import check_agent_count
+
 
 class ParseError(ValueError):
     """Malformed formula text; ``position`` is a 0-based offset into the input."""
@@ -475,10 +477,11 @@ def parse(text: str, agents: int) -> Formula:
 
     ``[C] f`` desugars to ``~<C>~f``, ``false`` to ``~true`` and ``<*>`` to
     the full coalition.  Raises ParseError with a position on bad input or
-    on an agent index that is out of range.
+    on an agent index that is out of range, and ProfileCapError on too many agents.
     """
     if agents < 1:
         raise ValueError("agents must be >= 1")
+    check_agent_count(agents)
     parser = _Parser(text, agents)
     result = parser.formula()
     kind, trailing, pos = parser.peek()

@@ -24,7 +24,7 @@ from .models import (
     PointedModel,
     available_actions,
     check_profile_count,
-    independence_witness,
+    frame_violation,
     validate_model,
 )
 from .normalform import (
@@ -151,32 +151,22 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
     return Blueprint(sc.agents, base, listing)
 
 
+ROOT_STATE = "s0"
+
+
 def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
     """Regularity: listed formulas satisfiable (via the oracle), plus the
-    blueprint-level analogues of the frame properties the logic assumes.
-
-    A coalition's performable joint actions are the projections of the listed
-    profiles, as its available joint actions are in a model
-    (:meth:`cglogic.models.Model.projection`), so the model-level
-    characterisations apply: S holds iff some profile is listed, and I iff
-    the listed profiles are the product of their per-agent projections
-    (proofs at :func:`cglogic.models.independence_witness`)."""
+    frame properties the logic assumes, checked by the model's frame checks
+    (:func:`cglogic.models.frame_violation`) on the row :func:`realize` gives
+    the root: the listed profiles, sorted, each with one outcome bit per
+    listed formula.  Its available joint actions are the performable ones."""
     for formulas in bp.listing.values():
         for chi in formulas:
             if not sat(chi):
                 return False
-    if logic.has_S and not bp.listing:
-        return False
-    if logic.has_I and independence_witness(bp.listing) is not None:
-        return False
-    if logic.has_D:
-        for formulas in bp.listing.values():
-            if len(formulas) != 1:
-                return False
-    return True
-
-
-ROOT_STATE = "s0"
+    listed = sorted(bp.listing)
+    row = {n: (1 << len(bp.listing[profile])) - 1 for n, profile in enumerate(listed)}
+    return frame_violation(logic, bp.agents, (ROOT_STATE,), (row,), listed) is None
 
 
 def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
@@ -289,9 +279,16 @@ def synthesize(
     valuation.  Otherwise the negation is normalized; a clause with no
     reduction witness is negated into a standard conjunction, its blueprint
     is built, the listed formulas are synthesized recursively (all strictly
-    shallower) and glued by :func:`realize`.
+    shallower) and glued by :func:`realize`.  One validity oracle and one
+    formula -> pointed model memo serve every recursion level of the query,
+    and every level's realization is verified.
     """
     check_agents(f, agents)
+    rec = validity_oracle(logic, agents, clause_cap)
+    return _synthesize(f, logic, agents, clause_cap, rec, {})
+
+
+def _synthesize(f, logic, agents, clause_cap, rec, memo) -> PointedModel | None:
     if modal_depth(f) == 0:
         assignment = find_assignment(f, True, key=lambda atom: atom.name)
         if assignment is None:
@@ -299,30 +296,23 @@ def synthesize(
         true_atoms = [atom.name for atom, value in assignment.items() if value]
         return _loop_model(true_atoms, [atom.name for atom in assignment], agents)
 
-    rec = validity_oracle(logic, agents, clause_cap)
-    chosen = None
-    for clause in to_standard_disjunctions(Not(f), agents, clause_cap):
-        if reduction_witness(clause, logic, rec) is None:
-            chosen = clause
-            break
+    clauses = to_standard_disjunctions(Not(f), agents, clause_cap)
+    chosen = next((c for c in clauses if reduction_witness(c, logic, rec) is None), None)
     if chosen is None:
         return None
 
-    sc = negate(chosen)
-    bp = build_blueprint(sc, logic)
-    cache: dict[Formula, PointedModel] = {}
-
+    # Each level makes its own provider: a shared one would call itself, a
+    # reference cycle keeping the query's models until the cyclic GC runs.
     def provider(chi: Formula) -> PointedModel:
-        if chi not in cache:
-            pointed = synthesize(chi, logic, agents, clause_cap)
+        if chi not in memo:
+            pointed = _synthesize(chi, logic, agents, clause_cap, rec, memo)
             if pointed is None:
-                raise RealizationError(
-                    f"listed formula unexpectedly unsatisfiable: {render(chi)}"
-                )
-            cache[chi] = pointed
-        return cache[chi]
+                raise RealizationError(f"listed formula unexpectedly unsatisfiable: {render(chi)}")
+            memo[chi] = pointed
+        return memo[chi]
 
-    pointed = realize(bp, sc.gammaC, provider, logic)
+    sc = negate(chosen)
+    pointed = realize(build_blueprint(sc, logic), sc.gammaC, provider, logic)
     if not satisfies(pointed.model, pointed.state, f):
         raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")
     return pointed

@@ -9,7 +9,8 @@ negation and conjunctive normal forms that the skeleton-program distribution
 of ``cglogic.normalform`` is tested against, the model-file document
 that ``cglogic.models.save_model``'s bytes are tested against, and the
 renaming glue that ``cglogic.synth.realize``'s gluing by state offset is
-tested against."""
+tested against, and the per-level synthesis that ``cglogic.synth.synthesize``,
+with one oracle and one memo per query, is tested against."""
 
 from __future__ import annotations
 
@@ -28,10 +29,12 @@ from cglogic import (
     random_model,
     sat_states,
 )
+from cglogic import decide, synth
+from cglogic.mcheck import satisfies
 from cglogic.models import Violation, independence_witness
-from cglogic.normalform import ClauseCapError
-from cglogic.synth import ROOT_STATE
-from cglogic.syntax import And, Atom, Coal, Not, Top, render
+from cglogic.normalform import DEFAULT_CLAUSE_CAP, ClauseCapError, negate, to_standard_disjunctions
+from cglogic.synth import ROOT_STATE, RealizationError
+from cglogic.syntax import And, Atom, Coal, Not, Top, modal_depth, render
 
 
 def loop_model(agents=1, actions=("a",), labels=("p",), atoms=("p", "q")):
@@ -499,3 +502,43 @@ def coal_nodes(f) -> set:
         case Coal(_, child):
             return {f} | coal_nodes(child)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_synthesize(f, logic, agents, clause_cap=DEFAULT_CLAUSE_CAP):
+    """Synthesis with a fresh validity oracle and a fresh submodel cache at
+    every recursion level, each level recursing through this function; the
+    oracle is built through ``decide.validity_oracle``, so a test can count
+    it there."""
+    decide.check_agents(f, agents)
+    if modal_depth(f) == 0:
+        assignment = decide.find_assignment(f, True, key=lambda atom: atom.name)
+        if assignment is None:
+            return None
+        true_atoms = [atom.name for atom, value in assignment.items() if value]
+        return synth._loop_model(true_atoms, [atom.name for atom in assignment], agents)
+
+    rec = decide.validity_oracle(logic, agents, clause_cap)
+    chosen = None
+    for clause in to_standard_disjunctions(Not(f), agents, clause_cap):
+        if decide.reduction_witness(clause, logic, rec) is None:
+            chosen = clause
+            break
+    if chosen is None:
+        return None
+
+    sc = negate(chosen)
+    bp = synth.build_blueprint(sc, logic)
+    cache = {}
+
+    def provider(chi):
+        if chi not in cache:
+            pointed = reference_synthesize(chi, logic, agents, clause_cap)
+            if pointed is None:
+                raise RealizationError(f"listed formula unexpectedly unsatisfiable: {render(chi)}")
+            cache[chi] = pointed
+        return cache[chi]
+
+    pointed = synth.realize(bp, sc.gammaC, provider, logic)
+    if not satisfies(pointed.model, pointed.state, f):
+        raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")
+    return pointed

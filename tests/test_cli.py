@@ -225,6 +225,34 @@ def test_profile_cap_exit_code(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--logic", "E", "<0>p"],
+        ["sat", "--logic", "E", "<0>p"],
+        ["gen", "--logic", "E", "--actions", "1", "--out", "gen.json"],
+        ["fuzz", "--logic", "E", "--iters", "1"],
+    ],
+    ids=["check", "sat", "gen", "fuzz"],
+)
+def test_agent_cap_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # A profile lists one action per agent, so more agents than the profile
+    # cap are refused before anything is built for them; without the check,
+    # 10^8 agents take gigabytes.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv[:3], "--agents", "100000000", *argv[3:])
+    assert code == 3 and out == ""
+    assert err == "error: 100000000 agents exceed the agent cap (100000, the profile cap)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_agent_cap_admits_the_cap(capsys):
+    code, out, _ = run(capsys, "check", "--logic", "E", "--agents", "100000", "<0>p")
+    assert code == 0 and out.strip() == "invalid"
+    code, _, err = run(capsys, "check", "--logic", "E", "--agents", "100001", "<0>p")
+    assert code == 3 and "agent cap" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cglogic.cli", "check", "--logic", "CL", "--agents", "2", "~<*>false"],

@@ -297,9 +297,9 @@ def test_save_model_rejects_unknown_pointed_state_before_writing(tmp_path):
 
 
 def test_loaded_models_derive_the_constructed_string_view(tmp_path, perturbed_models):
-    # A constructed model keeps its input table as the string view; a loaded
-    # one derives it from the index form.  Both must read the same, and
-    # saving the loaded model must write the same file.
+    # Constructed and loaded models both derive the string view from the
+    # index form.  A loaded model must read as the model it was saved from,
+    # and saving it must write the same file.
     path = tmp_path / "m.json"
     for m in perturbed_models:
         save_model(m, path)
@@ -310,6 +310,38 @@ def test_loaded_models_derive_the_constructed_string_view(tmp_path, perturbed_mo
         assert all(loaded.entries(s) == m.entries(s) for s in m.states)
         save_model(loaded, path)
         assert path.read_text() == text
+
+
+def test_constructed_string_view_is_the_input_without_empty_entries():
+    # The view is derived from the index form, not kept: it must equal the
+    # constructor's table with empty outcome sets and empty rows dropped,
+    # and every state's labels, unlabelled states reading empty.
+    emptied = dropped = 0
+    for seed in range(500):
+        parts = helpers.perturbed_parts(seed)
+        rng = random.Random(seed)
+        outcomes = {state: dict(row) for state, row in parts.outcomes.items()}
+        for row in outcomes.values():
+            if rng.random() < 0.3:
+                profile = tuple(rng.choice(parts.actions) for _ in range(parts.agents))
+                row.setdefault(profile, frozenset())
+        labels = {state: atoms for state, atoms in parts.labels.items() if rng.random() < 0.7}
+        m = Model(parts.agents, parts.actions, parts.states, outcomes, labels, parts.atoms)
+        expected = {}
+        for state, row in outcomes.items():
+            listed = {profile: frozenset(targets) for profile, targets in row.items() if targets}
+            emptied += len(row) - len(listed)
+            if listed:
+                expected[state] = listed
+            else:
+                dropped += 1
+        assert m.outcomes == expected, seed
+        assert m.labels == {state: frozenset(labels.get(state, ())) for state in parts.states}
+        # an unknown state is refused even when its row is empty
+        unknown = dict(outcomes, ghost={})
+        with pytest.raises(ModelError, match="outcome entry for unknown state 'ghost'"):
+            Model(parts.agents, parts.actions, parts.states, unknown, labels, parts.atoms)
+    assert emptied >= 50 and dropped >= 50
 
 
 def test_load_minimal_model(tmp_path):

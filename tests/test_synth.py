@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -387,3 +389,78 @@ def test_synthesized_depth_zero_listing_models():
         assert pointed is not None
         assert satisfies(pointed.model, pointed.state, f)
         assert modal_depth(f) == 2
+
+
+def _reference_cases():
+    """The first draws of criterion 5's pool in every logic, and the negated
+    fans k = 3, 4, 5 for E and SID."""
+    cases = []
+    for index, x in enumerate(ALL_LOGICS):
+        rng = random.Random(303 + index)
+        cases += [(random_formula(rng, 2, 2, ("p", "q")), x, 2) for _ in range(25)]
+    cases += [(negated_fan(k), x, 3) for x in (E, SID) for k in (3, 4, 5)]
+    return cases
+
+
+def test_synthesize_matches_the_per_level_reference(tmp_path):
+    # One oracle and one memo per query must give the model, the pointed
+    # state and the file that a fresh oracle and cache per level give.
+    got_path, want_path = tmp_path / "got.json", tmp_path / "want.json"
+    produced = 0
+    for f, x, agents in _reference_cases():
+        got = synthesize(f, x, agents)
+        want = helpers.reference_synthesize(f, x, agents)
+        assert (got is None) == (want is None), (x.name, render(f))
+        if got is None:
+            continue
+        produced += 1
+        assert got.model == want.model and got.state == want.state, (x.name, render(f))
+        save_model(got.model, got_path, pointed=got.state)
+        save_model(want.model, want_path, pointed=want.state)
+        assert got_path.read_bytes() == want_path.read_bytes(), (x.name, render(f))
+    assert produced >= 100
+
+
+def test_synthesize_builds_one_validity_oracle_per_query(monkeypatch):
+    from cglogic import decide
+
+    built = {"synth": 0, "reference": 0}
+
+    def counting(key, real):
+        def oracle(*args, **kwargs):
+            built[key] += 1
+            return real(*args, **kwargs)
+
+        return oracle
+
+    monkeypatch.setattr(synth, "validity_oracle", counting("synth", synth.validity_oracle))
+    monkeypatch.setattr(decide, "validity_oracle", counting("reference", decide.validity_oracle))
+    several = 0
+    for f, x, agents in _reference_cases():
+        before = dict(built)
+        synthesize(f, x, agents)
+        assert built["synth"] == before["synth"] + 1, (x.name, render(f))
+        helpers.reference_synthesize(f, x, agents)
+        several += built["reference"] - before["reference"] > 1
+    # the per-level reference builds several oracles for most deep queries
+    assert several >= 50
+
+
+def test_synthesis_releases_its_models_without_cyclic_gc(monkeypatch):
+    # The memo shared by a query's levels must not sit in a reference cycle:
+    # every glued model, at every level, is freed when the query drops it.
+    glued = []
+    real = synth.realize
+
+    def watched(bp, gamma, provider, logic):
+        pointed = real(bp, gamma, provider, logic)
+        glued.append(weakref.ref(pointed.model))
+        return pointed
+
+    monkeypatch.setattr(synth, "realize", watched)
+    gc.disable()
+    try:
+        assert synthesize(parse("<0><1>p & <1>~<0>q & ~<0,1>p", 2), E, 2) is not None
+        assert len(glued) > 2 and all(alive() is None for alive in glued)
+    finally:
+        gc.enable()
