@@ -4,13 +4,12 @@ Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
 output directory), 3 resource cap exceeded (the clause cap, the profile cap
 on the profiles a random model or a blueprint enumerates and on the agent
-count, or `<C>` or parentheses nested deeper than the recursion limit).  Output
-is line-oriented text; --json switches each command to one JSON record.
+count, or `<C>` nested deeper than the recursion limit).  Output is
+line-oriented text; --json switches each command to one JSON record.
 
-Formula traversals do not recurse on `~` or `&`, which may nest to any depth.
-Two things are bounded by the recursion limit: nested `<C>` (modal depth), as
-deciding, synthesis and model checking recurse once per level, and nested
-parentheses in the input text, as the parser recurses once per pair.
+Parsing and formula traversals are iterative over `~`, `&` and parentheses.
+Only nested `<C>` (modal depth) is bounded by the recursion limit, as
+deciding, synthesis and model checking recurse once per level.
 """
 
 from __future__ import annotations

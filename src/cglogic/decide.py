@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .logics import LogicId
 from .models import check_agent_count
 from .normalform import (
-    DEFAULT_CLAUSE_CAP,
     StandardDisjunction,
     basic_positive_indices,
     to_standard_disjunctions,
@@ -159,16 +158,16 @@ def check_agents(f: Formula, agents: int) -> None:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")
 
 
-def _validity(f: Formula, logic: LogicId, agents: int, cap: int, cache: dict) -> bool:
+def _validity(f: Formula, logic: LogicId, agents: int, cache: dict) -> bool:
     cached = cache.get(f)
     if cached is not None:
         return cached
     if modal_depth(f) == 0:
         result = is_taut(f)
     else:
-        rec = lambda g: _validity(g, logic, agents, cap, cache)
+        rec = lambda g: _validity(g, logic, agents, cache)
         result = True
-        for clause in to_standard_disjunctions(f, agents, cap):
+        for clause in to_standard_disjunctions(f, agents):
             if reduction_witness(clause, logic, rec) is None:
                 result = False
                 break
@@ -176,39 +175,37 @@ def _validity(f: Formula, logic: LogicId, agents: int, cap: int, cache: dict) ->
     return result
 
 
-def validity_oracle(logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP):
+def validity_oracle(logic: LogicId, agents: int):
     """Memoizing validity decision shared across related queries."""
     cache: dict = {}
 
     def rec(f: Formula) -> bool:
         check_agents(f, agents)
-        return _validity(f, logic, agents, clause_cap, cache)
+        return _validity(f, logic, agents, cache)
 
     return rec
 
 
-def is_valid(f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP) -> bool:
+def is_valid(f: Formula, logic: LogicId, agents: int) -> bool:
     """Decide whether the formula holds at every state of every model of the logic."""
-    return validity_oracle(logic, agents, clause_cap)(f)
+    return validity_oracle(logic, agents)(f)
 
 
-def is_satisfiable(
-    f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP
-) -> bool:
+def is_satisfiable(f: Formula, logic: LogicId, agents: int) -> bool:
     """Decide satisfiability as non-validity of the negation."""
-    return not is_valid(Not(f), logic, agents, clause_cap)
+    return not is_valid(Not(f), logic, agents)
 
 
 def explain(
-    f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP
+    f: Formula, logic: LogicId, agents: int
 ) -> tuple[bool, list[tuple[StandardDisjunction, ReductionWitness | None]]]:
     """Validity verdict plus per-clause witnesses for the top-level normal form."""
     check_agents(f, agents)
     if modal_depth(f) == 0:
         return is_taut(f), []
-    rec = validity_oracle(logic, agents, clause_cap)
+    rec = validity_oracle(logic, agents)
     details = [
         (clause, reduction_witness(clause, logic, rec))
-        for clause in to_standard_disjunctions(f, agents, clause_cap)
+        for clause in to_standard_disjunctions(f, agents)
     ]
     return all(witness is not None for _, witness in details), details

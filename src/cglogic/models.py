@@ -672,6 +672,8 @@ def _read_model_file(path) -> tuple[Model, str | None]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("model file nested too deeply to decode") from exc
     return _model_from_doc(doc)
 
 

@@ -30,11 +30,11 @@ from .syntax import (
     skeleton,
 )
 
-DEFAULT_CLAUSE_CAP = 100_000
+CLAUSE_CAP = 100_000
 
 
 class ClauseCapError(RuntimeError):
-    """Distribution would exceed the configured clause-count cap."""
+    """Distribution would exceed the clause-count cap, :data:`CLAUSE_CAP`."""
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,7 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
     return StandardDisjunction(agents, frozenset(gamma), tuple(negatives), tuple(positives))
 
 
-def to_standard_disjunctions(
-    f: Formula, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP
-) -> list[StandardDisjunction]:
+def to_standard_disjunctions(f: Formula, agents: int) -> list[StandardDisjunction]:
     """Equivalent list of standard disjunctions (their conjunction matches f).
 
     Requires modal depth >= 1; depth-0 formulas are purely propositional and
@@ -208,7 +206,7 @@ def to_standard_disjunctions(
     """
     if modal_depth(f) < 1:
         raise ValueError("normal form needs modal depth >= 1; decide depth-0 input propositionally")
-    clauses = _cnf(f, clause_cap)
+    clauses = _cnf(f, CLAUSE_CAP)
     return [_clause_to_sd(clause, agents) for clause in clauses]
 
 

@@ -20,6 +20,10 @@ round trips return the interned node.
 ``<C>`` nodes as opaque leaves, into a straight-line program kept on the
 node.  The truth table, the normal form, model checking and :func:`atoms_of`
 all run it, and reach below a ``<C>`` leaf only by running its child's.
+
+:func:`parse` is one loop over the tokens with an explicit stack.  Binary
+connectives are a table of levels, reduced as in shunting-yard, and each
+open parenthesis is a frame, so no nesting is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -363,113 +367,39 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, agents: int):
-        self.tokens = _tokenize(text)
-        self.agents = agents
-        self.index = 0
+# Binary connectives: token -> (level, reduces, build).  A higher level binds
+# tighter.  The token after an operand first reduces the pending connectives
+# whose level is at least ``reduces``: "|" and "&" reduce their own level and
+# so group left, "->" leaves its own level pending and so groups right, and
+# any other token, as (0, 1, None), reduces them all.
+_CONNECTIVES = {"->": (1, 2, Implies), "|": (2, 2, Or), "&": (3, 3, And)}
 
-    def peek(self):
-        return self.tokens[self.index]
 
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, value: str):
-        kind, text, pos = self.peek()
-        if text != value:
-            shown = text if text else "end of input"
-            raise ParseError(f"expected {value!r}, found {shown!r}", pos)
-        return self.advance()
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[1] == "->":
-            self.advance()
-            right = self.formula()
-            return Implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        result = self.conjunction()
-        while self.peek()[1] == "|":
-            self.advance()
-            result = Or(result, self.conjunction())
-        return result
-
-    def conjunction(self) -> Formula:
-        result = self.unary()
-        while self.peek()[1] == "&":
-            self.advance()
-            result = And(result, self.unary())
-        return result
-
-    def unary(self) -> Formula:
-        # A chain of prefixes (~, <C>, [C]) is read in a loop, so its length
-        # is not bounded by the recursion limit.
-        wraps = []
+def _coalition(tokens, i: int, opener: str, agents: int) -> tuple[frozenset[int], int]:
+    """Read the coalition that follows ``opener`` ("<" or "[") from tokens[i];
+    return it and the index after its closer."""
+    closer = ">" if opener == "<" else "]"
+    members = []
+    if tokens[i][1] == "*":
+        members = range(agents)
+        i += 1
+    elif tokens[i][1] != closer:
         while True:
-            text = self.peek()[1]
-            if text == "~":
-                self.advance()
-                wraps.append(Not)
-            elif text in ("<", "["):
-                self.advance()
-                closer = ">" if text == "<" else "]"
-                coalition = self.coalition(closer)
-                self.expect(closer)
-                wraps.append(functools.partial(Coal if text == "<" else Box, coalition))
-            else:
+            kind, value, pos = tokens[i]
+            if kind != "num":
+                raise ParseError(f"expected an agent index, found {value or 'end of input'!r}", pos)
+            member = int(value)
+            if member >= agents:
+                raise ParseError(f"agent index {member} out of range for {agents} agent(s)", pos)
+            members.append(member)
+            i += 1
+            if tokens[i][1] != ",":
                 break
-        result = self.primary()
-        for wrap in reversed(wraps):
-            result = wrap(result)
-        return result
-
-    def primary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "true":
-            self.advance()
-            return TOP
-        if kind == "false":
-            self.advance()
-            return BOT
-        if kind == "ident":
-            self.advance()
-            return Atom(text)
-        if text == "(":
-            self.advance()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        shown = text if text else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", pos)
-
-    def coalition(self, closer: str) -> frozenset[int]:
-        kind, text, pos = self.peek()
-        if text == closer:
-            return frozenset()
-        if text == "*":
-            self.advance()
-            return frozenset(range(self.agents))
-        members = [self.agent_index()]
-        while self.peek()[1] == ",":
-            self.advance()
-            members.append(self.agent_index())
-        return frozenset(members)
-
-    def agent_index(self) -> int:
-        kind, text, pos = self.peek()
-        if kind != "num":
-            shown = text if text else "end of input"
-            raise ParseError(f"expected an agent index, found {shown!r}", pos)
-        self.advance()
-        value = int(text)
-        if value >= self.agents:
-            raise ParseError(f"agent index {value} out of range for {self.agents} agent(s)", pos)
-        return value
+            i += 1
+    kind, value, pos = tokens[i]
+    if value != closer:
+        raise ParseError(f"expected {closer!r}, found {value or 'end of input'!r}", pos)
+    return frozenset(members), i + 1
 
 
 def parse(text: str, agents: int) -> Formula:
@@ -478,16 +408,66 @@ def parse(text: str, agents: int) -> Formula:
     ``[C] f`` desugars to ``~<C>~f``, ``false`` to ``~true`` and ``<*>`` to
     the full coalition.  Raises ParseError with a position on bad input or
     on an agent index that is out of range, and ProfileCapError on too many agents.
+
+    One loop reads the tokens.  An operand is a chain of prefixes (``~``,
+    ``<C>``, ``[C]``) and then a constant, an atom or ``(``.  Each ``(``
+    pushes a frame of the prefixes waiting for it and the enclosing level's
+    operands and pending connectives; its ``)`` pops the frame once the
+    level is reduced.
     """
     if agents < 1:
         raise ValueError("agents must be >= 1")
     check_agent_count(agents)
-    parser = _Parser(text, agents)
-    result = parser.formula()
-    kind, trailing, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing!r}", pos)
-    return result
+    tokens = _tokenize(text)
+    frames = []  # (prefixes, operands, pending) of each enclosing level
+    operands, pending = [], []
+    i = 0
+    while True:
+        prefixes = []
+        while True:
+            kind, value, pos = tokens[i]
+            i += 1
+            if value == "~":
+                prefixes.append(Not)
+            elif value == "<" or value == "[":
+                coalition, i = _coalition(tokens, i, value, agents)
+                prefixes.append(functools.partial(Coal if value == "<" else Box, coalition))
+            elif value == "(":
+                frames.append((prefixes, operands, pending))
+                prefixes, operands, pending = [], [], []
+            else:
+                break
+        if kind == "ident":
+            result = Atom(value)
+        elif kind == "true":
+            result = TOP
+        elif kind == "false":
+            result = BOT
+        else:
+            raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        while True:
+            for wrap in reversed(prefixes):
+                result = wrap(result)
+            operands.append(result)
+            kind, value, pos = tokens[i]
+            i += 1
+            level, bound, build = _CONNECTIVES.get(value, (0, 1, None))
+            while pending and pending[-1][0] >= bound:
+                _, join = pending.pop()
+                right = operands.pop()
+                operands[-1] = join(operands[-1], right)
+            if build is not None:
+                pending.append((level, build))
+                break
+            if value == ")" and frames:
+                result = operands[0]
+                prefixes, operands, pending = frames.pop()
+            elif frames:
+                raise ParseError(f"expected ')', found {value or 'end of input'!r}", pos)
+            elif kind == "eof":
+                return operands[0]
+            else:
+                raise ParseError(f"unexpected trailing input {value!r}", pos)
 
 
 def _coalition_text(coalition: frozenset[int]) -> str:

@@ -28,7 +28,6 @@ from .models import (
     validate_model,
 )
 from .normalform import (
-    DEFAULT_CLAUSE_CAP,
     Literal,
     StandardConjunction,
     _dedupe,
@@ -270,9 +269,7 @@ def _loop_model(true_atoms, atoms, agents: int) -> PointedModel:
     return PointedModel(model, ROOT_STATE)
 
 
-def synthesize(
-    f: Formula, logic: LogicId, agents: int, clause_cap: int = DEFAULT_CLAUSE_CAP
-) -> PointedModel | None:
+def synthesize(f: Formula, logic: LogicId, agents: int) -> PointedModel | None:
     """Pointed model of the logic satisfying f, or None when f is unsatisfiable.
 
     Depth-0 formulas become one-state loop models over a satisfying
@@ -284,11 +281,11 @@ def synthesize(
     and every level's realization is verified.
     """
     check_agents(f, agents)
-    rec = validity_oracle(logic, agents, clause_cap)
-    return _synthesize(f, logic, agents, clause_cap, rec, {})
+    rec = validity_oracle(logic, agents)
+    return _synthesize(f, logic, agents, rec, {})
 
 
-def _synthesize(f, logic, agents, clause_cap, rec, memo) -> PointedModel | None:
+def _synthesize(f, logic, agents, rec, memo) -> PointedModel | None:
     if modal_depth(f) == 0:
         assignment = find_assignment(f, True, key=lambda atom: atom.name)
         if assignment is None:
@@ -296,7 +293,7 @@ def _synthesize(f, logic, agents, clause_cap, rec, memo) -> PointedModel | None:
         true_atoms = [atom.name for atom, value in assignment.items() if value]
         return _loop_model(true_atoms, [atom.name for atom in assignment], agents)
 
-    clauses = to_standard_disjunctions(Not(f), agents, clause_cap)
+    clauses = to_standard_disjunctions(Not(f), agents)
     chosen = next((c for c in clauses if reduction_witness(c, logic, rec) is None), None)
     if chosen is None:
         return None
@@ -305,7 +302,7 @@ def _synthesize(f, logic, agents, clause_cap, rec, memo) -> PointedModel | None:
     # reference cycle keeping the query's models until the cyclic GC runs.
     def provider(chi: Formula) -> PointedModel:
         if chi not in memo:
-            pointed = _synthesize(chi, logic, agents, clause_cap, rec, memo)
+            pointed = _synthesize(chi, logic, agents, rec, memo)
             if pointed is None:
                 raise RealizationError(f"listed formula unexpectedly unsatisfiable: {render(chi)}")
             memo[chi] = pointed

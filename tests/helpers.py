@@ -3,17 +3,20 @@ exhaustive small-model enumeration used as a brute-force satisfiability oracle,
 the exhaustive frame-property checkers that the characterisations in
 ``cglogic.models`` are tested against, and the string-form evaluator and frame
 checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
-are tested against, the recursive structural measures that the fields
-stored on interned formula nodes are tested against, and the recursive
-negation and conjunctive normal forms that the skeleton-program distribution
-of ``cglogic.normalform`` is tested against, the model-file document
-that ``cglogic.models.save_model``'s bytes are tested against, and the
-renaming glue that ``cglogic.synth.realize``'s gluing by state offset is
-tested against, and the per-level synthesis that ``cglogic.synth.synthesize``,
-with one oracle and one memo per query, is tested against."""
+are tested against, the recursive-descent parser that
+``cglogic.syntax.parse``'s loop is tested against, the recursive structural
+measures that the fields stored on interned formula nodes are tested
+against, and the recursive negation and conjunctive normal forms that the
+skeleton-program distribution of ``cglogic.normalform`` is tested against,
+the model-file document that ``cglogic.models.save_model``'s bytes are
+tested against, and the renaming glue that ``cglogic.synth.realize``'s
+gluing by state offset is tested against, and the per-level synthesis that
+``cglogic.synth.synthesize``, with one oracle and one memo per query, is
+tested against."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import NamedTuple
@@ -32,9 +35,24 @@ from cglogic import (
 from cglogic import decide, synth
 from cglogic.mcheck import satisfies
 from cglogic.models import Violation, independence_witness
-from cglogic.normalform import DEFAULT_CLAUSE_CAP, ClauseCapError, negate, to_standard_disjunctions
+from cglogic.normalform import ClauseCapError, negate, to_standard_disjunctions
 from cglogic.synth import ROOT_STATE, RealizationError
-from cglogic.syntax import And, Atom, Coal, Not, Top, modal_depth, render
+from cglogic.syntax import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Box,
+    Coal,
+    Implies,
+    Not,
+    Or,
+    ParseError,
+    Top,
+    _tokenize,
+    modal_depth,
+    render,
+)
 
 
 def loop_model(agents=1, actions=("a",), labels=("p",), atoms=("p", "q")):
@@ -345,6 +363,127 @@ def perturbed_blueprint(seed, formulas):
 ALL = ALL_LOGICS
 
 
+class _ReferenceParser:
+    def __init__(self, text: str, agents: int):
+        self.tokens = _tokenize(text)
+        self.agents = agents
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def expect(self, value: str):
+        kind, text, pos = self.peek()
+        if text != value:
+            shown = text if text else "end of input"
+            raise ParseError(f"expected {value!r}, found {shown!r}", pos)
+        return self.advance()
+
+    def formula(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[1] == "->":
+            self.advance()
+            right = self.formula()
+            return Implies(left, right)
+        return left
+
+    def disjunction(self) -> Formula:
+        result = self.conjunction()
+        while self.peek()[1] == "|":
+            self.advance()
+            result = Or(result, self.conjunction())
+        return result
+
+    def conjunction(self) -> Formula:
+        result = self.unary()
+        while self.peek()[1] == "&":
+            self.advance()
+            result = And(result, self.unary())
+        return result
+
+    def unary(self) -> Formula:
+        # A chain of prefixes (~, <C>, [C]) is read in a loop, so its length
+        # is not bounded by the recursion limit.
+        wraps = []
+        while True:
+            text = self.peek()[1]
+            if text == "~":
+                self.advance()
+                wraps.append(Not)
+            elif text in ("<", "["):
+                self.advance()
+                closer = ">" if text == "<" else "]"
+                coalition = self.coalition(closer)
+                self.expect(closer)
+                wraps.append(functools.partial(Coal if text == "<" else Box, coalition))
+            else:
+                break
+        result = self.primary()
+        for wrap in reversed(wraps):
+            result = wrap(result)
+        return result
+
+    def primary(self) -> Formula:
+        kind, text, pos = self.peek()
+        if kind == "true":
+            self.advance()
+            return TOP
+        if kind == "false":
+            self.advance()
+            return BOT
+        if kind == "ident":
+            self.advance()
+            return Atom(text)
+        if text == "(":
+            self.advance()
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        shown = text if text else "end of input"
+        raise ParseError(f"expected a formula, found {shown!r}", pos)
+
+    def coalition(self, closer: str) -> frozenset[int]:
+        kind, text, pos = self.peek()
+        if text == closer:
+            return frozenset()
+        if text == "*":
+            self.advance()
+            return frozenset(range(self.agents))
+        members = [self.agent_index()]
+        while self.peek()[1] == ",":
+            self.advance()
+            members.append(self.agent_index())
+        return frozenset(members)
+
+    def agent_index(self) -> int:
+        kind, text, pos = self.peek()
+        if kind != "num":
+            shown = text if text else "end of input"
+            raise ParseError(f"expected an agent index, found {shown!r}", pos)
+        self.advance()
+        value = int(text)
+        if value >= self.agents:
+            raise ParseError(f"agent index {value} out of range for {self.agents} agent(s)", pos)
+        return value
+
+
+def reference_parse(text: str, agents: int):
+    """Recursive-descent parse, one method per grammar level and one call
+    level per parenthesis pair: the parser that ``syntax.parse``'s single
+    loop replaced, with the same nodes, error texts and positions."""
+    parser = _ReferenceParser(text, agents)
+    result = parser.formula()
+    kind, trailing, pos = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {trailing!r}", pos)
+    return result
+
+
 def reference_modal_depth(f) -> int:
     """Modal depth by recursion over the tree."""
     match f:
@@ -504,7 +643,7 @@ def coal_nodes(f) -> set:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def reference_synthesize(f, logic, agents, clause_cap=DEFAULT_CLAUSE_CAP):
+def reference_synthesize(f, logic, agents):
     """Synthesis with a fresh validity oracle and a fresh submodel cache at
     every recursion level, each level recursing through this function; the
     oracle is built through ``decide.validity_oracle``, so a test can count
@@ -517,9 +656,9 @@ def reference_synthesize(f, logic, agents, clause_cap=DEFAULT_CLAUSE_CAP):
         true_atoms = [atom.name for atom, value in assignment.items() if value]
         return synth._loop_model(true_atoms, [atom.name for atom in assignment], agents)
 
-    rec = decide.validity_oracle(logic, agents, clause_cap)
+    rec = decide.validity_oracle(logic, agents)
     chosen = None
-    for clause in to_standard_disjunctions(Not(f), agents, clause_cap):
+    for clause in to_standard_disjunctions(Not(f), agents):
         if decide.reduction_witness(clause, logic, rec) is None:
             chosen = clause
             break
@@ -532,7 +671,7 @@ def reference_synthesize(f, logic, agents, clause_cap=DEFAULT_CLAUSE_CAP):
 
     def provider(chi):
         if chi not in cache:
-            pointed = reference_synthesize(chi, logic, agents, clause_cap)
+            pointed = reference_synthesize(chi, logic, agents)
             if pointed is None:
                 raise RealizationError(f"listed formula unexpectedly unsatisfiable: {render(chi)}")
             cache[chi] = pointed

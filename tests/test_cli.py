@@ -313,6 +313,39 @@ def test_deep_propositional_formula_answers(capsys, tmp_path, command, deep, exp
             assert pointed.model.labels[pointed.state] == frozenset({"p"})
 
 
+@pytest.mark.parametrize("command", ["check", "sat", "mc"])
+def test_deep_parentheses_answer(capsys, tmp_path, command):
+    # The parser keeps one frame per open parenthesis instead of one call
+    # level, so parenthesized nesting far beyond the recursion limit parses.
+    path = str(tmp_path / "loop.json")
+    save_model(helpers.loop_model(), path)
+    expected = {"check": "invalid", "sat": "satisfiable", "mc": "true"}[command]
+    for deep in ("(" * 5000 + "p" + ")" * 5000, "(p & " * 5000 + "p" + ")" * 5000):
+        if command == "mc":
+            argv = ["mc", path, "s0", deep]
+        else:
+            argv = [command, "--logic", "E", "--agents", "1", deep]
+        code, out, err = run(capsys, "--json", *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == expected
+
+
+def test_deeply_nested_model_file_exit_code(capsys, tmp_path):
+    # The JSON decoder recurses once per nested array or object; such a file
+    # is a malformed model, not a deep formula, even for `props`.
+    path = tmp_path / "m.json"
+    valid = '{"agents": 1, "actions": ["a"], "states": ["s0"]'
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, valid + ', "x": ' + deep + "}"):
+        path.write_text(text)
+        for argv in (["mc", str(path), "s0", "p"], ["props", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: model file nested too deeply to decode\n"
+    path.write_text(valid + "}")
+    assert run(capsys, "props", str(path))[0] == 0
+
+
 def test_sat_model_does_not_depend_on_hash_seed(tmp_path):
     # A negated fan: every listed profile of its blueprint lists two
     # formulas, so the written model depends on how they are ordered.

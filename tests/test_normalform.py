@@ -85,11 +85,11 @@ def test_clause_cap():
     blowup = " | ".join(f"(x{i} & y{i})" for i in range(18)) + " | <0>z"
     f = parse(blowup, 1)
     with pytest.raises(ClauseCapError):
-        to_standard_disjunctions(f, 1)  # default cap of 100000 < 2**18
+        to_standard_disjunctions(f, 1)  # CLAUSE_CAP of 100000 < 2**18
 
     small = parse("(x0 & y0) | (x1 & y1) | (x2 & y2) | (x3 & y3) | <0>z", 1)
-    with pytest.raises(ClauseCapError):
-        to_standard_disjunctions(small, 1, clause_cap=10)
+    with pytest.raises(ClauseCapError, match=r"^CNF distribution needs 16 clauses \(cap 10\)$"):
+        normalform._cnf(small, 10)
     assert len(to_standard_disjunctions(small, 1)) == 2**4
 
 

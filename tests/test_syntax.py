@@ -1,7 +1,9 @@
+import collections
 import copy
 import gc
 import pickle
 import random
+import re
 import sys
 import threading
 
@@ -76,6 +78,76 @@ def test_parse_errors(text, position_hint):
         parse(text, 2)
     if position_hint is not None:
         assert err.value.position == position_hint
+
+
+# Token pieces for random parser input: connectives, prefixes, malformed
+# coalitions, unbalanced parentheses, an out-of-range agent (of 2) and stray
+# characters; pieces joined without spaces may fuse ("-" ">" is "->").
+_PIECES = (
+    "p", "q", "x1", "true", "false", "~", "&", "|", "->", "-", "(", ")", "<", ">",
+    "[", "]", ",", "*", "0", "1", "2", "<0>", "[1]", "<*>", "?", " ",
+)
+
+
+def _infix(rng, depth):
+    """Random infix text that chains "&", "|" and "->" without parentheses
+    and parenthesizes some operands."""
+    parts = []
+    for k in range(rng.randint(1, 4)):
+        if k:
+            parts.append(rng.choice(("&", "|", "->")))
+        if depth and rng.random() < 0.3:
+            parts.append("(" + _infix(rng, depth - 1) + ")")
+        else:
+            parts.append(rng.choice(("p", "q", "~p", "<0>q", "[1]~p", "<*>(p)", "true", "false")))
+    return " ".join(parts)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text, 2)
+    except ParseError as error:
+        return str(error), error.position
+
+
+def test_parse_matches_recursive_reference():
+    # The loop against the recursive-descent parser it replaced: the same
+    # interned node, or the same error text and position.  A third of the
+    # inputs are random piece strings; the others are rendered random
+    # formulas or random infix chains, with up to two pieces deleted,
+    # inserted or replaced.
+    rng = random.Random(14)
+    kinds = collections.Counter()
+    for n in range(21_000):
+        if n % 3 == 0:
+            pieces = [rng.choice(_PIECES) for _ in range(rng.randint(0, 12))]
+        else:
+            text = render(random_formula(rng, 2, 2, ("p", "q"))) if n % 3 == 1 else _infix(rng, 2)
+            pieces = re.findall(r"->|\w+|\S", text)
+            for _ in range(rng.randint(0, 2)):
+                at = rng.randrange(len(pieces) + 1)
+                pieces[at : at + rng.randint(0, 1)] = rng.sample(_PIECES, rng.randint(0, 1))
+        text = rng.choice(("", " ")).join(pieces)
+        got, expected = _parsed(parse, text), _parsed(helpers.reference_parse, text)
+        if type(expected) is tuple:
+            assert got == expected, text
+            kind = re.match(r"unexpected \w+|expected (a formula|an agent index|'.')|agent index", got[0])
+            kinds[kind.group()] += 1
+        else:
+            assert got is expected, text
+            kinds["formula"] += 1
+    assert set(kinds) == {
+        "formula",
+        "unexpected character",
+        "unexpected trailing",
+        "expected a formula",
+        "expected an agent index",
+        "agent index",
+        "expected ')'",
+        "expected '>'",
+        "expected ']'",
+    }, kinds
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_agent_range_error():
