@@ -48,11 +48,8 @@ from .mcheck import enables, ensures, sat_states, satisfies, valid_on_model
 from .normalform import (
     ClauseCapError,
     Literal,
-    StandardConjunction,
     StandardDisjunction,
     basic_positive_indices,
-    negate,
-    sc_to_formula,
     sd_to_formula,
     to_standard_disjunctions,
 )

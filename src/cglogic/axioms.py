@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .logics import LogicId
-from .syntax import And, BOT, Coal, Formula, Implies, Not, Or, TOP, random_formula
+from .syntax import And, BOT, Coal, Formula, Implies, Not, Or, TOP, random_coalition, random_formula
 
 
 def a_naaa(coalition) -> Formula:
@@ -77,11 +77,6 @@ def mon_conclusion(smaller, larger, phi: Formula, psi: Formula) -> Formula:
     return Implies(Coal(smaller, phi), Coal(larger, psi))
 
 
-def _random_coalition(rng, agents: int) -> frozenset[int]:
-    mask = rng.randrange(2 ** agents)
-    return frozenset(i for i in range(agents) if mask >> i & 1)
-
-
 def system_instances(logic: LogicId, agents: int, rng, atoms=("p", "q"), depth: int = 1):
     """One random instance of every axiom of the system, as (name, formula) pairs.
 
@@ -90,8 +85,8 @@ def system_instances(logic: LogicId, agents: int, rng, atoms=("p", "q"), depth: 
     """
     phi = random_formula(rng, depth, agents, atoms)
     psi = random_formula(rng, depth, agents, atoms)
-    c = _random_coalition(rng, agents)
-    d = _random_coalition(rng, agents)
+    c = random_coalition(rng, agents)
+    d = random_coalition(rng, agents)
     instances = [
         ("A-Tau/excluded-middle", Or(phi, Not(phi))),
         ("A-Tau/weakening", Implies(And(phi, psi), phi)),

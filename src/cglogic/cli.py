@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
 output directory), 3 resource cap exceeded (the clause cap, the profile cap
-on the profiles a random model or a blueprint enumerates and on the agent
-count, or `<C>` nested deeper than the recursion limit).  Output is
-line-oriented text; --json switches each command to one JSON record.
+of 100000 on the profiles a random model or a blueprint enumerates and on the
+agent count and a random model's state and action counts, or `<C>` nested
+deeper than the recursion limit).  Output is line-oriented text; --json
+switches each command to one JSON record.
 
 Parsing and formula traversals are iterative over `~`, `&` and parentheses.
 Only nested `<C>` (modal depth) is bounded by the recursion limit, as
@@ -27,7 +28,7 @@ from .models import (
     ModelError,
     ProfileCapError,
     RandomModelConfig,
-    check_agent_count,
+    check_count,
     frame_properties,
     load_model,
     random_model,
@@ -201,7 +202,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _fuzz_iteration(logic, agents, depth, atoms, rng, models_per_valid):
+FUZZ_MODELS_PER_VALID = 3  # random models each formula declared valid is checked on
+
+
+def _fuzz_iteration(logic, agents, depth, atoms, rng):
     """One differential round; returns (stage, detail) on discrepancy else None."""
     formula = random_formula(rng, depth, agents, atoms)
     sat = is_satisfiable(formula, logic, agents)
@@ -218,7 +222,7 @@ def _fuzz_iteration(logic, agents, depth, atoms, rng, models_per_valid):
         if not satisfies(pointed.model, pointed.state, formula):
             return formula, "mcheck", "synthesized model does not satisfy the formula", pointed
     if valid:
-        for _ in range(models_per_valid):
+        for _ in range(FUZZ_MODELS_PER_VALID):
             cfg = RandomModelConfig(
                 num_states=rng.randint(1, 5),
                 num_actions=rng.randint(1, 3),
@@ -237,10 +241,10 @@ def cmd_fuzz(args) -> int:
     for option, value in (("--iters", args.iters), ("--depth", args.depth)):
         if value < 0:
             raise ValueError(f"{option} must be >= 0, got {value}")
-    check_agent_count(args.agents)
+    check_count(args.agents, "agent")
     for iteration in range(args.iters):
         rng = random.Random(args.seed * 1_000_003 + iteration)
-        outcome = _fuzz_iteration(logic, args.agents, args.depth, atoms, rng, 3)
+        outcome = _fuzz_iteration(logic, args.agents, args.depth, atoms, rng)
         if outcome is not None:
             formula, stage, detail, pointed = outcome
             bundle = {

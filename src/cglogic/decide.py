@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .logics import LogicId
-from .models import check_agent_count
+from .models import check_count
 from .normalform import (
     StandardDisjunction,
     basic_positive_indices,
@@ -152,7 +152,7 @@ def check_agents(f: Formula, agents: int) -> None:
     """Reject too few or too many agents, or a formula naming an agent it lacks."""
     if agents < 1:
         raise ValueError("agents must be >= 1")
-    check_agent_count(agents)
+    check_count(agents, "agent")
     worst = max_agent(f)
     if worst >= agents:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")

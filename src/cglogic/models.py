@@ -78,12 +78,13 @@ def check_profile_count(sizes, what: str) -> None:
             )
 
 
-def check_agent_count(agents: int) -> None:
-    """Raise :class:`ProfileCapError` for more agents than :data:`PROFILE_CAP`,
-    before anything is built for them: a single profile would be that long."""
-    if agents > PROFILE_CAP:
-        cap = f"the agent cap ({PROFILE_CAP}, the profile cap)"
-        raise ProfileCapError(f"{agents} agents exceed {cap}")
+def check_count(count: int, noun: str) -> None:
+    """Raise :class:`ProfileCapError` for more agents, states or actions
+    (``noun``) than :data:`PROFILE_CAP`, before anything is built for them: a
+    single profile would be that long, or their names alone take gigabytes."""
+    if count > PROFILE_CAP:
+        cap = f"the {noun} cap ({PROFILE_CAP}, the profile cap)"
+        raise ProfileCapError(f"{count} {noun}s exceed {cap}")
 
 
 @dataclass(frozen=True)
@@ -717,7 +718,8 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
     """Seeded random model guaranteed to satisfy the logic's frame properties.
 
     Raises :class:`ProfileCapError` for more than :data:`PROFILE_CAP` agents,
-    and before enumerating more than that many profiles at a state.
+    states or actions, and before enumerating more than that many profiles
+    at a state.
 
     Availability is generated agent-wise when independence is required (a
     profile is enabled iff each agent's action is individually enabled),
@@ -729,7 +731,9 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
 
     if min(cfg.num_states, cfg.num_actions, cfg.agents, cfg.branching) < 1:
         raise ValueError("all RandomModelConfig bounds must be >= 1")
-    check_agent_count(cfg.agents)
+    check_count(cfg.agents, "agent")
+    check_count(cfg.num_states, "state")
+    check_count(cfg.num_actions, "action")
     rng = _random.Random(seed)
     states = [f"s{i}" for i in range(cfg.num_states)]
     actions = [f"a{i}" for i in range(cfg.num_actions)]

@@ -8,7 +8,9 @@ only preserve equisatisfiability).  Each CNF clause is then split into the
 propositional part (gamma), the negated modal atoms (the antecedent family)
 and the positive modal atoms (the consequent family); <AG>falsity is pinned
 at consequent index 0 and <{}>truth joins a nonempty antecedent family, both
-equivalence-preserving on all models.
+equivalence-preserving on all models.  A clause also stands for its negation,
+the standard conjunction, which synthesis realizes when the clause has no
+reduction witness.
 """
 
 from __future__ import annotations
@@ -53,34 +55,14 @@ class Literal:
 _EMPTY_TOP: tuple[frozenset[int], Formula] = (frozenset(), TOP)
 
 
-def _check_families(agents, gamma, negatives, positives, negated: bool):
-    ag = frozenset(range(agents))
-    if not positives or positives[0] != (ag, BOT):
-        shape = "~<AG>false" if negated else "<AG>false"
-        raise ValueError(f"positive index 0 must be {shape}")
-    if negatives and _EMPTY_TOP not in negatives:
-        raise ValueError("a nonempty antecedent family must contain <>true")
-    for coalition, _ in tuple(negatives) + tuple(positives):
-        if not coalition <= ag:
-            raise ValueError(f"coalition {sorted(coalition)} out of range for {agents} agent(s)")
-    for literal in gamma:
-        if not isinstance(literal, Literal):
-            raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
-
-
-def _freeze_families(obj, gamma_field: str):
-    object.__setattr__(obj, gamma_field, frozenset(getattr(obj, gamma_field)))
-    object.__setattr__(
-        obj, "negatives", tuple((frozenset(c), f) for c, f in obj.negatives)
-    )
-    object.__setattr__(
-        obj, "positives", tuple((frozenset(c), f) for c, f in obj.positives)
-    )
-
-
 @dataclass(frozen=True)
 class StandardDisjunction:
-    """gamma v (/\\_i <A_i>phi_i -> \\/_j <B_j>psi_j) with pinned index 0."""
+    """gamma v (/\\_i <A_i>phi_i -> \\/_j <B_j>psi_j) with pinned index 0.
+
+    Its negation, the standard conjunction
+    ~gamma ^ /\\_i <A_i>phi_i ^ /\\_j ~<B_j>psi_j, has the same two families
+    and the complemented literals of gamma, so the clause stands for both.
+    """
 
     agents: int
     gamma: frozenset[Literal]
@@ -88,33 +70,35 @@ class StandardDisjunction:
     positives: tuple[tuple[frozenset[int], Formula], ...]
 
     def __post_init__(self):
-        _freeze_families(self, "gamma")
-        _check_families(self.agents, self.gamma, self.negatives, self.positives, negated=False)
+        object.__setattr__(self, "gamma", frozenset(self.gamma))
+        for family in ("negatives", "positives"):
+            parts = tuple((frozenset(c), f) for c, f in getattr(self, family))
+            object.__setattr__(self, family, parts)
+        ag = frozenset(range(self.agents))
+        if not self.positives or self.positives[0] != (ag, BOT):
+            raise ValueError("positive index 0 must be <AG>false")
+        if self.negatives and _EMPTY_TOP not in self.negatives:
+            raise ValueError("a nonempty antecedent family must contain <>true")
+        for coalition, _ in self.negatives + self.positives:
+            if not coalition <= ag:
+                agents = f"{self.agents} agent(s)"
+                raise ValueError(f"coalition {sorted(coalition)} out of range for {agents}")
+        for literal in self.gamma:
+            if not isinstance(literal, Literal):
+                raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
 
 
-@dataclass(frozen=True)
-class StandardConjunction:
-    """gamma ^ /\\_i <A_i>phi_i ^ /\\_j ~<B_j>psi_j with pinned index 0."""
-
-    agents: int
-    gammaC: frozenset[Literal]
-    negatives: tuple[tuple[frozenset[int], Formula], ...]
-    positives: tuple[tuple[frozenset[int], Formula], ...]
-
-    def __post_init__(self):
-        _freeze_families(self, "gammaC")
-        _check_families(self.agents, self.gammaC, self.negatives, self.positives, negated=True)
-
-
-# Skeleton literals: ("top", polarity) | ("atom", name, polarity) | ("modal", Coal, polarity)
+# Clause literals are (leaf, polarity) pairs over the skeleton's leaves and
+# TOP, ordered atoms by name, then <C> nodes by rendering, then TOP.
 
 
 def _lit_key(lit):
-    if lit[0] == "atom":
-        return (0, lit[1], not lit[2])
-    if lit[0] == "modal":
-        return (1, render(lit[1]), not lit[2])
-    return (2, "", not lit[1])
+    leaf, positive = lit
+    if type(leaf) is Atom:
+        return (0, leaf.name, not positive)
+    if leaf is TOP:
+        return (2, "", not positive)
+    return (1, render(leaf), not positive)
 
 
 def _dedupe(items):
@@ -136,10 +120,9 @@ def _cnf(f: Formula, cap: int) -> list[frozenset]:
     leaves, steps, root = skeleton(f)
     n = len(leaves)
     built: list = [None] * (2 * (n + 1 + len(steps)))
-    named = [("top",)] + [("atom", x.name) if type(x) is Atom else ("modal", x) for x in leaves]
-    for s, lit in enumerate(named):
-        built[2 * s] = [frozenset([(*lit, True)])]
-        built[2 * s + 1] = [frozenset([(*lit, False)])]
+    for s, leaf in enumerate((TOP, *leaves)):
+        built[2 * s] = [frozenset([(leaf, True)])]
+        built[2 * s + 1] = [frozenset([(leaf, False)])]
     stack = [2 * root]
     while stack:
         key = stack[-1]
@@ -176,17 +159,17 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
     neg_family: list[tuple[frozenset[int], Formula]] = []
     pos_family: list[tuple[frozenset[int], Formula]] = []
     saw_top = False
-    for lit in sorted(clause, key=_lit_key):
-        if lit[0] == "top":
+    for leaf, positive in sorted(clause, key=_lit_key):
+        if leaf is TOP:
             # A falsity literal drops out of the disjunction; a truth literal
             # is re-expressed as <>true on both sides, which keeps the clause
             # a tautology without losing its other (depth-carrying) members.
-            saw_top = saw_top or lit[1]
-        elif lit[0] == "atom":
-            gamma.add(Literal(lit[1], lit[2]))
+            saw_top = saw_top or positive
+        elif type(leaf) is Atom:
+            gamma.add(Literal(leaf.name, positive))
         else:
-            part = (lit[1].coalition, lit[1].child)
-            (pos_family if lit[2] else neg_family).append(part)
+            part = (leaf.coalition, leaf.child)
+            (pos_family if positive else neg_family).append(part)
     if saw_top:
         neg_family.insert(0, _EMPTY_TOP)
         pos_family.insert(0, _EMPTY_TOP)
@@ -210,42 +193,17 @@ def to_standard_disjunctions(f: Formula, agents: int) -> list[StandardDisjunctio
     return [_clause_to_sd(clause, agents) for clause in clauses]
 
 
-def negate(sd: StandardDisjunction) -> StandardConjunction:
-    """Standard conjunction equivalent to the negation of the clause."""
-    return StandardConjunction(
-        sd.agents,
-        frozenset(lit.complement() for lit in sd.gamma),
-        sd.negatives,
-        sd.positives,
-    )
-
-
-def _gamma_formula(literals, empty: Formula, combine) -> Formula:
-    ordered = sorted(literals, key=lambda lit: (lit.atom, not lit.positive))
-    if not ordered:
-        return empty
-    return combine(lit.to_formula() for lit in ordered)
-
-
 def sd_to_formula(sd: StandardDisjunction) -> Formula:
     """Literal reading gamma v (/\\ <A_i>phi_i -> \\/ <B_j>psi_j).
 
     Empty gamma reads as falsity and an empty antecedent family as a truth
     antecedent.
     """
-    gamma = _gamma_formula(sd.gamma, BOT, big_or)
+    ordered = sorted(sd.gamma, key=lambda lit: (lit.atom, not lit.positive))
+    gamma = big_or(lit.to_formula() for lit in ordered)
     antecedent = big_and(Coal(c, f) for c, f in sd.negatives)
     consequent = big_or(Coal(c, f) for c, f in sd.positives)
     return big_or([gamma, Implies(antecedent, consequent)])
-
-
-def sc_to_formula(sc: StandardConjunction) -> Formula:
-    """Literal reading gamma ^ /\\ <A_i>phi_i ^ /\\ ~<B_j>psi_j (empty gamma is truth)."""
-    gamma = _gamma_formula(sc.gammaC, TOP, big_and)
-    parts = [gamma]
-    parts.extend(Coal(c, f) for c, f in sc.negatives)
-    parts.extend(Not(Coal(c, f)) for c, f in sc.positives)
-    return big_and(parts)
 
 
 def basic_positive_indices(clause) -> frozenset[int]:

@@ -34,7 +34,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 
-from .models import check_agent_count
+from .models import check_count
 
 
 class ParseError(ValueError):
@@ -417,7 +417,7 @@ def parse(text: str, agents: int) -> Formula:
     """
     if agents < 1:
         raise ValueError("agents must be >= 1")
-    check_agent_count(agents)
+    check_count(agents, "agent")
     tokens = _tokenize(text)
     frames = []  # (prefixes, operands, pending) of each enclosing level
     operands, pending = [], []
@@ -516,6 +516,12 @@ def render(f: Formula) -> str:
     return text
 
 
+def random_coalition(rng, agents: int) -> frozenset[int]:
+    """Coalition of ``agents`` agents drawn uniformly by one ``randrange``."""
+    mask = rng.randrange(2 ** agents)
+    return frozenset(i for i in range(agents) if mask >> i & 1)
+
+
 def random_formula(rng, max_depth: int, agents: int, atoms=("p", "q"), size: int = 8) -> Formula:
     """Random formula with modal depth at most ``max_depth``.
 
@@ -523,10 +529,6 @@ def random_formula(rng, max_depth: int, agents: int, atoms=("p", "q"), size: int
     connectives so trees stay desk-sized.
     """
     budget = [size]
-
-    def coalition() -> frozenset[int]:
-        mask = rng.randrange(2 ** agents)
-        return frozenset(i for i in range(agents) if mask >> i & 1)
 
     def leaf() -> Formula:
         roll = rng.random()
@@ -542,7 +544,7 @@ def random_formula(rng, max_depth: int, agents: int, atoms=("p", "q"), size: int
             return leaf()
         roll = rng.random()
         if depth > 0 and roll < 0.40:
-            return Coal(coalition(), gen(depth - 1))
+            return Coal(random_coalition(rng, agents), gen(depth - 1))
         if roll < 0.55:
             return Not(gen(depth))
         if roll < 0.72:

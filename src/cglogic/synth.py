@@ -1,5 +1,6 @@
-"""Countermodel synthesis: blueprints from satisfiable standard conjunctions,
-their realization by model gluing, and recursive end-to-end synthesis.
+"""Countermodel synthesis: blueprints from standard disjunctions with no
+reduction witness, whose negations (standard conjunctions) they realize by
+model gluing, and recursive end-to-end synthesis.
 
 A blueprint names one base action per antecedent index and one per consequent
 index of the source clause, and lists, for every full action profile over
@@ -29,10 +30,9 @@ from .models import (
 )
 from .normalform import (
     Literal,
-    StandardConjunction,
+    StandardDisjunction,
     _dedupe,
     basic_positive_indices,
-    negate,
     to_standard_disjunctions,
 )
 from .syntax import Formula, Not, big_and, big_or, modal_depth, render
@@ -109,25 +109,27 @@ def impeach(ja: tuple[str, ...], n_positive: int) -> int:
     return total % n_positive
 
 
-def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
-    """Blueprint whose realization satisfies the standard conjunction.
+def build_blueprint(clause: StandardDisjunction, logic: LogicId) -> Blueprint:
+    """Blueprint whose realization satisfies the clause's negation, its
+    standard conjunction /\\ <A_i>phi_i ^ /\\ ~<B_j>psi_j, at the root
+    (the literals of ~gamma are the root's labels, given to :func:`realize`).
 
-    Requires that every reduction of the negated clause fails for the logic
+    Requires that every reduction of the clause fails for the logic
     (otherwise some listed formula is unsatisfiable, detected downstream).
     A profile gets a nonempty listing exactly when its support is neat.
     Raises :class:`cglogic.models.ProfileCapError` before enumerating more
     than :data:`cglogic.models.PROFILE_CAP` profiles.
     """
-    negatives = sc.negatives
-    positives = sc.positives
-    ag = frozenset(range(sc.agents))
+    negatives = clause.negatives
+    positives = clause.positives
+    ag = frozenset(range(clause.agents))
     base = tuple(neg_action(i) for i in range(len(negatives))) + tuple(
         pos_action(j) for j in range(len(positives))
     )
-    basics = sorted(basic_positive_indices(sc))
-    check_profile_count(itertools.repeat(len(base), sc.agents), "blueprint")
+    basics = sorted(basic_positive_indices(clause))
+    check_profile_count(itertools.repeat(len(base), clause.agents), "blueprint")
     listing: dict[tuple[str, ...], frozenset[Formula]] = {}
-    for profile in itertools.product(base, repeat=sc.agents):
+    for profile in itertools.product(base, repeat=clause.agents):
         supp = support(negatives, ag, profile)
         if not is_neat(supp, negatives, logic):
             continue
@@ -147,7 +149,7 @@ def build_blueprint(sc: StandardConjunction, logic: LogicId) -> Blueprint:
                 if cover <= b_j
             ]
         listing[profile] = frozenset(formulas)
-    return Blueprint(sc.agents, base, listing)
+    return Blueprint(clause.agents, base, listing)
 
 
 ROOT_STATE = "s0"
@@ -273,12 +275,13 @@ def synthesize(f: Formula, logic: LogicId, agents: int) -> PointedModel | None:
     """Pointed model of the logic satisfying f, or None when f is unsatisfiable.
 
     Depth-0 formulas become one-state loop models over a satisfying
-    valuation.  Otherwise the negation is normalized; a clause with no
-    reduction witness is negated into a standard conjunction, its blueprint
+    valuation.  Otherwise the negation is normalized; for a clause with no
+    reduction witness a blueprint of its negation, the standard conjunction,
     is built, the listed formulas are synthesized recursively (all strictly
-    shallower) and glued by :func:`realize`.  One validity oracle and one
-    formula -> pointed model memo serve every recursion level of the query,
-    and every level's realization is verified.
+    shallower) and glued by :func:`realize` under a root labeled by the
+    complemented gamma.  One validity oracle and one formula -> pointed
+    model memo serve every recursion level of the query, and every level's
+    realization is verified.
     """
     check_agents(f, agents)
     rec = validity_oracle(logic, agents)
@@ -308,8 +311,8 @@ def _synthesize(f, logic, agents, rec, memo) -> PointedModel | None:
             memo[chi] = pointed
         return memo[chi]
 
-    sc = negate(chosen)
-    pointed = realize(build_blueprint(sc, logic), sc.gammaC, provider, logic)
+    gamma = frozenset(lit.complement() for lit in chosen.gamma)
+    pointed = realize(build_blueprint(chosen, logic), gamma, provider, logic)
     if not satisfies(pointed.model, pointed.state, f):
         raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")
     return pointed

@@ -8,9 +8,11 @@ are tested against, the recursive-descent parser that
 measures that the fields stored on interned formula nodes are tested
 against, and the recursive negation and conjunctive normal forms that the
 skeleton-program distribution of ``cglogic.normalform`` is tested against,
-the model-file document that ``cglogic.models.save_model``'s bytes are
-tested against, and the renaming glue that ``cglogic.synth.realize``'s
-gluing by state offset is tested against, and the per-level synthesis that
+the string-tagged clause reading whose clause and family order
+``cglogic.normalform.to_standard_disjunctions`` is held to, the model-file
+document that ``cglogic.models.save_model``'s bytes are tested against, and
+the renaming glue that ``cglogic.synth.realize``'s gluing by state offset
+is tested against, and the per-level synthesis that
 ``cglogic.synth.synthesize``, with one oracle and one memo per query, is
 tested against."""
 
@@ -35,7 +37,13 @@ from cglogic import (
 from cglogic import decide, synth
 from cglogic.mcheck import satisfies
 from cglogic.models import Violation, independence_witness
-from cglogic.normalform import ClauseCapError, negate, to_standard_disjunctions
+from cglogic.normalform import (
+    CLAUSE_CAP,
+    ClauseCapError,
+    Literal,
+    StandardDisjunction,
+    to_standard_disjunctions,
+)
 from cglogic.synth import ROOT_STATE, RealizationError
 from cglogic.syntax import (
     BOT,
@@ -529,7 +537,9 @@ def reference_atoms_of(f) -> frozenset:
 def reference_nnf(f, positive=True):
     """Negation normal form of the propositional skeleton as a tuple tree:
     ``("lit", literal)``, ``("and", l, r)`` or ``("or", l, r)``, with the
-    literals ``cglogic.normalform`` uses."""
+    string-tagged literals ``("top", pol)``, ``("atom", name, pol)`` and
+    ``("modal", <C> node, pol)``; :func:`tagged` maps the (leaf, polarity)
+    literals of ``cglogic.normalform`` to them."""
     match f:
         case Top():
             return ("lit", ("top", positive))
@@ -562,6 +572,66 @@ def reference_cnf(node, cap):
     if len(clauses) > cap:
         raise ClauseCapError(f"CNF has {len(clauses)} clauses (cap {cap})")
     return clauses
+
+
+def tagged(clauses) -> list:
+    """Clauses of (leaf, polarity) literals, as ``cglogic.normalform._cnf``
+    returns them, with :func:`reference_nnf`'s string-tagged literals."""
+
+    def tag(lit):
+        leaf, positive = lit
+        if leaf is TOP:
+            return ("top", positive)
+        if type(leaf) is Atom:
+            return ("atom", leaf.name, positive)
+        return ("modal", leaf, positive)
+
+    return [frozenset(map(tag, clause)) for clause in clauses]
+
+
+_EMPTY_TOP = (frozenset(), TOP)
+
+
+def _lit_key(lit):
+    if lit[0] == "atom":
+        return (0, lit[1], not lit[2])
+    if lit[0] == "modal":
+        return (1, render(lit[1]), not lit[2])
+    return (2, "", not lit[1])
+
+
+def reference_clause_to_sd(clause, agents):
+    """The standard disjunction of a clause of string-tagged literals, its
+    literals sorted by kind (atoms by name, ``<C>`` nodes by rendering, truth
+    last) and each family's duplicates dropped."""
+    ag = frozenset(range(agents))
+    gamma = set()
+    neg_family = []
+    pos_family = []
+    saw_top = False
+    for lit in sorted(clause, key=_lit_key):
+        if lit[0] == "top":
+            saw_top = saw_top or lit[1]
+        elif lit[0] == "atom":
+            gamma.add(Literal(lit[1], lit[2]))
+        else:
+            part = (lit[1].coalition, lit[1].child)
+            (pos_family if lit[2] else neg_family).append(part)
+    if saw_top:
+        neg_family.insert(0, _EMPTY_TOP)
+        pos_family.insert(0, _EMPTY_TOP)
+    positives = [(ag, BOT)] + [p for p in dict.fromkeys(pos_family) if p != (ag, BOT)]
+    negatives = []
+    if neg_family:
+        negatives = [_EMPTY_TOP] + [n for n in dict.fromkeys(neg_family) if n != _EMPTY_TOP]
+    return StandardDisjunction(agents, frozenset(gamma), tuple(negatives), tuple(positives))
+
+
+def reference_standard_disjunctions(f, agents):
+    """``to_standard_disjunctions(f, agents)`` through the recursive NNF and
+    CNF above and :func:`reference_clause_to_sd`."""
+    clauses = reference_cnf(reference_nnf(f), CLAUSE_CAP)
+    return [reference_clause_to_sd(clause, agents) for clause in clauses]
 
 
 def reference_doc(m, pointed=None) -> dict:
@@ -665,8 +735,7 @@ def reference_synthesize(f, logic, agents):
     if chosen is None:
         return None
 
-    sc = negate(chosen)
-    bp = synth.build_blueprint(sc, logic)
+    bp = synth.build_blueprint(chosen, logic)
     cache = {}
 
     def provider(chi):
@@ -677,7 +746,8 @@ def reference_synthesize(f, logic, agents):
             cache[chi] = pointed
         return cache[chi]
 
-    pointed = synth.realize(bp, sc.gammaC, provider, logic)
+    gamma = frozenset(lit.complement() for lit in chosen.gamma)
+    pointed = synth.realize(bp, gamma, provider, logic)
     if not satisfies(pointed.model, pointed.state, f):
         raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")
     return pointed

@@ -253,6 +253,27 @@ def test_agent_cap_admits_the_cap(capsys):
     assert code == 3 and "agent cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--logic", "E", "--states", "100001"], "100001 states exceed the state cap"),
+        (
+            ["--logic", "SI", "--agents", "1", "--states", "1", "--actions", "100001"],
+            "100001 actions exceed the action cap",
+        ),
+    ],
+    ids=["states", "actions"],
+)
+def test_gen_size_cap_exit_code(capsys, tmp_path, monkeypatch, argv, message):
+    # The state and action names alone would take gigabytes at 10^8; the
+    # sizes are checked before any name is built.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "gen", *argv, "--out", "gen.json")
+    assert code == 3 and out == ""
+    assert err == f"error: {message} (100000, the profile cap)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cglogic.cli", "check", "--logic", "CL", "--agents", "2", "~<*>false"],

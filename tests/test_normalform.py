@@ -8,11 +8,8 @@ from cglogic.logics import E
 from cglogic.normalform import (
     ClauseCapError,
     Literal,
-    StandardConjunction,
     StandardDisjunction,
     basic_positive_indices,
-    negate,
-    sc_to_formula,
     sd_to_formula,
     to_standard_disjunctions,
 )
@@ -109,20 +106,6 @@ def test_truth_literal_keeps_depth_and_equivalence():
         assert helpers.equivalent_on(m, f, conjunction_of(clauses))
 
 
-def test_negate_examples():
-    sd = StandardDisjunction(2, frozenset({Literal("p")}), (), ((AG2, BOT),))
-    sc = negate(sd)
-    assert sc.gammaC == frozenset({Literal("p", False)})
-    assert sc.negatives == sd.negatives and sc.positives == sd.positives
-
-    [sd2] = to_standard_disjunctions(Not(Coal({0}, Q)), 2)
-    sc2 = negate(sd2)
-    assert sc2.gammaC == frozenset()
-    assert sc2.negatives == ((EMPTY, TOP), (frozenset({0}), Q))
-    # double complement restores the original gamma
-    assert negate(StandardDisjunction(2, sc2.gammaC, sc2.negatives, sc2.positives)).gammaC == sd2.gamma
-
-
 def test_sd_to_formula_reading():
     [sd] = to_standard_disjunctions(Coal(AG2, P), 2)
     expected = Or(BOT, Implies(TOP, Or(Coal(AG2, BOT), Coal(AG2, P))))
@@ -133,14 +116,6 @@ def test_sd_to_formula_reading():
     )
     expected2 = Or(Or(P, Not(Q)), Implies(TOP, Coal(AG2, BOT)))
     assert sd_to_formula(sd2) == expected2
-
-
-def test_sc_to_formula_reading():
-    sc = StandardConjunction(
-        2, frozenset(), ((EMPTY, TOP), (frozenset({0}), Q)), ((AG2, BOT),)
-    )
-    f = sc_to_formula(sc)
-    assert f == big_and([TOP, Coal(EMPTY, TOP), Coal(frozenset({0}), Q), Not(Coal(AG2, BOT))])
 
 
 def test_round_trip_on_models():
@@ -199,6 +174,10 @@ def _clauses_or_message(cnf, *args):
         return str(error)
 
 
+def _tagged_cnf(f, cap):
+    return helpers.tagged(normalform._cnf(f, cap))
+
+
 def _shared_formulas(rng, count):
     # Iff puts both sides under both polarities, and the variants nest one
     # shared subformula at several places, inside and outside <C>.
@@ -211,9 +190,22 @@ def _shared_formulas(rng, count):
         yield Iff(Iff(f, g), Iff(g, f))
 
 
-def test_distribution_matches_recursive_reference():
-    # The criterion-7 generator plus Iff-shared formulas: the same clauses in
-    # the same order, and at small caps the same ClauseCapError message.
+def _top_formulas(rng, count):
+    # Truth and falsity literals beside modal ones: a clause holding a truth
+    # literal gets <>true in both families.
+    for _ in range(count):
+        f = random_formula(rng, rng.randint(1, 2), 2, ("p", "q"))
+        g = random_formula(rng, rng.randint(0, 2), 2, ("p",))
+        c = frozenset({rng.randrange(2)})
+        yield Or(Coal(c, f), TOP)
+        yield Or(Coal(c, f), Or(g, BOT))
+        yield And(Or(f, TOP), Or(Not(Coal(c, g)), Not(TOP)))
+        yield Implies(And(TOP, Coal(c, g)), Or(f, Coal(c, TOP)))
+
+
+def _reference_formulas():
+    # The criterion-7 generator, Iff-shared formulas and formulas with truth
+    # and falsity literals.
     rng = random.Random(505)
     formulas = []
     while len(formulas) < 500:
@@ -221,11 +213,29 @@ def test_distribution_matches_recursive_reference():
         if modal_depth(f) >= 1:
             formulas.append(f)
     formulas += _shared_formulas(random.Random(17), 150)
+    formulas += _top_formulas(random.Random(29), 100)
+    return formulas
+
+
+def test_distribution_matches_recursive_reference():
+    # The same clauses in the same order, and at small caps the same
+    # ClauseCapError message.
     messages = 0
-    for f in formulas:
+    for f in _reference_formulas():
         for cap in (3, 12, 100_000):
-            got = _clauses_or_message(normalform._cnf, f, cap)
+            got = _clauses_or_message(_tagged_cnf, f, cap)
             expected = _clauses_or_message(helpers.reference_cnf, helpers.reference_nnf(f), cap)
             assert got == expected, (render(f), cap)
             messages += isinstance(got, str)
     assert messages > 100
+
+
+def test_clause_order_matches_string_tagged_reading():
+    # Clause literals are skeleton leaves; the clauses, and the members of
+    # each family, come out in the order of the string-tagged reading.
+    saw_top = 0
+    for f in filter(lambda f: modal_depth(f) >= 1, _reference_formulas()):
+        expected = helpers.reference_standard_disjunctions(f, 2)
+        assert to_standard_disjunctions(f, 2) == expected, render(f)
+        saw_top += any((EMPTY, TOP) in sd.positives for sd in expected)
+    assert saw_top > 100

@@ -12,12 +12,7 @@ from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
 from cglogic.models import Model, available_actions, coalitions, save_model, validate_model
-from cglogic.normalform import (
-    Literal,
-    StandardConjunction,
-    negate,
-    to_standard_disjunctions,
-)
+from cglogic.normalform import Literal, StandardDisjunction, to_standard_disjunctions
 from cglogic.synth import (
     Blueprint,
     RealizationError,
@@ -103,10 +98,11 @@ def test_impeach_examples():
         impeach((), 0)
 
 
-def spec_conjunction():
-    # <>true & <0>p & ~<AG>false & ~<AG>~p over one agent
+def spec_clause():
+    # <>true & <0>p -> <AG>false | <AG>~p over one agent; its blueprint
+    # realizes the negation <>true & <0>p & ~<AG>false & ~<AG>~p
     ag = frozenset({0})
-    return StandardConjunction(
+    return StandardDisjunction(
         1,
         frozenset(),
         ((frozenset(), TOP), (ag, P)),
@@ -115,7 +111,7 @@ def spec_conjunction():
 
 
 def test_build_blueprint_hand_expanded():
-    bp = build_blueprint(spec_conjunction(), E)
+    bp = build_blueprint(spec_clause(), E)
     assert bp.base_actions == ("n0", "n1", "p0", "p1")
     listed = bp.listing[(neg_action(1),)]
     expected = {
@@ -132,23 +128,23 @@ def test_build_blueprint_hand_expanded():
 
 def test_build_blueprint_deterministic_listings_are_singletons():
     for x in (D, SD, LogicId.from_string("ID"), SID):
-        bp = build_blueprint(spec_conjunction(), x)
+        bp = build_blueprint(spec_clause(), x)
         for formulas in bp.listing.values():
             assert len(formulas) == 1
 
 
 def test_blueprint_listing_nonempty_iff_support_neat():
-    sc = spec_conjunction()
+    clause = spec_clause()
     for x in ALL_LOGICS:
-        bp = build_blueprint(sc, x)
+        bp = build_blueprint(clause, x)
         for action in bp.base_actions:
             profile = (action,)
-            supp = support(sc.negatives, frozenset({0}), profile)
-            assert (profile in bp.listing) == is_neat(supp, sc.negatives, x)
+            supp = support(clause.negatives, frozenset({0}), profile)
+            assert (profile in bp.listing) == is_neat(supp, clause.negatives, x)
 
 
 def test_coalition_table_on_blueprint_listing():
-    bp = build_blueprint(spec_conjunction(), E)
+    bp = build_blueprint(spec_clause(), E)
     # the empty coalition's one joint action derives every listed formula
     assert helpers.coalition_table(bp.listing, []) == {(): set().union(*bp.listing.values())}
     # one agent: the grand coalition's table is the listing itself
@@ -157,9 +153,9 @@ def test_coalition_table_on_blueprint_listing():
 
 
 def test_check_regular():
-    sc = spec_conjunction()
+    clause = spec_clause()
     for x in ALL_LOGICS:
-        bp = build_blueprint(sc, x)
+        bp = build_blueprint(clause, x)
         sat = lambda f: is_satisfiable(f, x, 1)
         assert check_regular(bp, x, sat)
 
@@ -215,7 +211,7 @@ def test_realize_availability_matches_performable():
             from cglogic.decide import reduction_witness
 
             if reduction_witness(clause, x, rec) is None:
-                bp = build_blueprint(negate(clause), x)
+                bp = build_blueprint(clause, x)
                 for c in coalitions(2):
                     assert available_actions(pointed.model, pointed.state, c) == set(
                         helpers.coalition_table(bp.listing, sorted(c))
