@@ -24,13 +24,12 @@ class LogicId:
         """Parse a logic name.
 
         Accepts the eight names E, S, I, D, SI, SD, ID, SID with letters in
-        any order and any case, plus the aliases MCL (= E) and CL (= SID).
+        any order and any case, plus the aliases ε, epsilon and MCL (= E)
+        and CL (= SID); surrounding whitespace is ignored.
         """
         cleaned = text.strip()
         upper = cleaned.upper()
-        if upper in ("E", "EPSILON") or cleaned in ("ε", "ε"):
-            return cls()
-        if upper == "MCL":
+        if upper in ("E", "EPSILON", "MCL") or cleaned == "ε":
             return cls()
         if upper == "CL":
             return cls(True, True, True)

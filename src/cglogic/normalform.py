@@ -88,19 +88,6 @@ class StandardDisjunction:
                 raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
 
 
-# Clause literals are (leaf, polarity) pairs over the skeleton's leaves and
-# TOP, ordered atoms by name, then <C> nodes by rendering, then TOP.
-
-
-def _lit_key(lit):
-    leaf, positive = lit
-    if type(leaf) is Atom:
-        return (0, leaf.name, not positive)
-    if leaf is TOP:
-        return (2, "", not positive)
-    return (1, render(leaf), not positive)
-
-
 def _dedupe(items):
     seen = set()
     kept = []
@@ -158,8 +145,9 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
     gamma = set()
     neg_family: list[tuple[frozenset[int], Formula]] = []
     pos_family: list[tuple[frozenset[int], Formula]] = []
+    modal = []
     saw_top = False
-    for leaf, positive in sorted(clause, key=_lit_key):
+    for leaf, positive in clause:
         if leaf is TOP:
             # A falsity literal drops out of the disjunction; a truth literal
             # is re-expressed as <>true on both sides, which keeps the clause
@@ -168,8 +156,12 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
         elif type(leaf) is Atom:
             gamma.add(Literal(leaf.name, positive))
         else:
-            part = (leaf.coalition, leaf.child)
-            (pos_family if positive else neg_family).append(part)
+            modal.append((leaf, positive))
+    # Clause literals are (leaf, polarity) pairs in a set; only the <C>
+    # leaves' order reaches the families, so only they are sorted, by
+    # rendering.  A leaf's two polarities tie but go to different families.
+    for leaf, positive in sorted(modal, key=lambda lit: render(lit[0])):
+        (pos_family if positive else neg_family).append((leaf.coalition, leaf.child))
     if saw_top:
         neg_family.insert(0, _EMPTY_TOP)
         pos_family.insert(0, _EMPTY_TOP)

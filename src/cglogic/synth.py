@@ -4,17 +4,18 @@ model gluing, and recursive end-to-end synthesis.
 
 A blueprint names one base action per antecedent index and one per consequent
 index of the source clause, and lists, for every full action profile over
-those base actions, finitely many formulas the profile must enable.  Realizing
-it glues a fresh root onto recursively synthesized submodels, one per listed
-formula; the root lists exactly the blueprint's listed profiles, so every
-coalition's available joint actions are the projections of the listed
-profiles, as they are in a model (:meth:`cglogic.models.Model.projection`).
+those base actions, finitely many formulas the profile must enable.  While it
+is built, base actions are numbers standing for those indices; a profile is
+named by its base actions only once it is listed.  Realizing it glues a fresh
+root onto recursively synthesized submodels, one per listed formula; the root
+lists exactly the blueprint's listed profiles, so every coalition's available
+joint actions are the projections of the listed profiles, as they are in a
+model (:meth:`cglogic.models.Model.projection`).
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 from .decide import check_agents, find_assignment, is_neat, reduction_witness, validity_oracle
@@ -52,14 +53,6 @@ def pos_action(index: int) -> str:
     return f"p{index}"
 
 
-_POS_RE = re.compile(r"p(\d+)\Z")
-
-
-def _positive_index(action: str) -> int | None:
-    match = _POS_RE.fullmatch(action)
-    return int(match.group(1)) if match else None
-
-
 @dataclass(frozen=True)
 class Blueprint:
     """Finite-support listing of formulas per full profile over the base actions."""
@@ -84,29 +77,26 @@ class Blueprint:
         object.__setattr__(self, "listing", table)
 
 
-def support(negatives, coalition, ja: tuple[str, ...]) -> frozenset[int]:
+def support(negatives, coalition, ja: tuple[int, ...]) -> frozenset[int]:
     """Antecedent indices whose coalition lies inside ``coalition`` and whose
     members all play that index's base action in the joint action ``ja`` (the
-    members' actions in agent order); empty-coalition indices always
-    qualify."""
+    members' base-action numbers in agent order, number ``i`` standing for
+    antecedent index ``i``); empty-coalition indices always qualify."""
     actions = dict(zip(sorted(coalition), ja))
     found = set()
     for i, (a_i, _) in enumerate(negatives):
-        if a_i <= coalition and all(actions[a] == neg_action(i) for a in a_i):
+        if a_i <= coalition and all(actions[a] == i for a in a_i):
             found.add(i)
     return frozenset(found)
 
 
-def impeach(ja: tuple[str, ...], n_positive: int) -> int:
-    """Sum of the consequent indices played, modulo the consequent count."""
+def impeach(ja: tuple[int, ...], n_negative: int, n_positive: int) -> int:
+    """Sum of the consequent indices played, modulo the consequent count.
+    Base-action number ``n_negative + j`` stands for consequent index ``j``;
+    the smaller numbers are antecedent indices and count nothing."""
     if n_positive < 1:
         raise ValueError("need at least one consequent index")
-    total = 0
-    for action in ja:
-        j = _positive_index(action)
-        if j is not None:
-            total += j
-    return total % n_positive
+    return sum(a - n_negative for a in ja if a >= n_negative) % n_positive
 
 
 def build_blueprint(clause: StandardDisjunction, logic: LogicId) -> Blueprint:
@@ -116,9 +106,14 @@ def build_blueprint(clause: StandardDisjunction, logic: LogicId) -> Blueprint:
 
     Requires that every reduction of the clause fails for the logic
     (otherwise some listed formula is unsatisfiable, detected downstream).
-    A profile gets a nonempty listing exactly when its support is neat.
-    Raises :class:`cglogic.models.ProfileCapError` before enumerating more
-    than :data:`cglogic.models.PROFILE_CAP` profiles.
+    Profiles are enumerated as tuples of base-action numbers: with ``k``
+    antecedent indices, number ``i < k`` is antecedent index ``i`` and
+    number ``k + j`` consequent index ``j``.  A profile's listing depends
+    only on its support and, under D, on the index it impeaches, so each
+    such key's listing is built once; only a listed profile is named, by
+    its base actions.  A profile gets a nonempty listing exactly when its
+    support is neat.  Raises :class:`cglogic.models.ProfileCapError` before
+    enumerating more than :data:`cglogic.models.PROFILE_CAP` profiles.
     """
     negatives = clause.negatives
     positives = clause.positives
@@ -126,30 +121,39 @@ def build_blueprint(clause: StandardDisjunction, logic: LogicId) -> Blueprint:
     base = tuple(neg_action(i) for i in range(len(negatives))) + tuple(
         pos_action(j) for j in range(len(positives))
     )
-    basics = sorted(basic_positive_indices(clause))
     check_profile_count(itertools.repeat(len(base), clause.agents), "blueprint")
+    listings: dict[tuple[frozenset[int], int], frozenset[Formula]] = {}
     listing: dict[tuple[str, ...], frozenset[Formula]] = {}
-    for profile in itertools.product(base, repeat=clause.agents):
-        supp = support(negatives, ag, profile)
-        if not is_neat(supp, negatives, logic):
-            continue
-        phis = [negatives[i][1] for i in sorted(supp)]
-        cover = frozenset().union(*(negatives[i][0] for i in supp)) if supp else frozenset()
-        if logic.has_D:
-            target = impeach(profile, len(positives))
-            if not cover <= positives[target][0]:
-                target = 0
-            parts = phis + [Not(positives[target][1])]
-            parts += [Not(positives[k][1]) for k in basics if k != target]
-            formulas = [big_and(_dedupe(parts))]
-        else:
-            formulas = [
-                big_and(_dedupe(phis + [Not(psi_j)]))
-                for b_j, psi_j in positives
-                if cover <= b_j
-            ]
-        listing[profile] = frozenset(formulas)
+    for numbers in itertools.product(range(len(base)), repeat=clause.agents):
+        supp = support(negatives, ag, numbers)
+        target = impeach(numbers, len(negatives), len(positives)) if logic.has_D else 0
+        formulas = listings.get((supp, target))
+        if formulas is None:
+            formulas = listings[supp, target] = _listing(clause, logic, supp, target)
+        if formulas:
+            listing[tuple(base[a] for a in numbers)] = formulas
     return Blueprint(clause.agents, base, listing)
+
+
+def _listing(clause, logic: LogicId, supp, target) -> frozenset[Formula]:
+    """Formulas listed for a profile with support ``supp`` that, under D,
+    impeaches consequent index ``target``; empty unless the support is neat."""
+    negatives = clause.negatives
+    positives = clause.positives
+    if not is_neat(supp, negatives, logic):
+        return frozenset()
+    phis = [negatives[i][1] for i in sorted(supp)]
+    cover = frozenset().union(*(negatives[i][0] for i in supp))
+    if logic.has_D:
+        if not cover <= positives[target][0]:
+            target = 0
+        parts = phis + [Not(positives[target][1])]
+        basics = sorted(basic_positive_indices(clause))
+        parts += [Not(positives[k][1]) for k in basics if k != target]
+        return frozenset([big_and(_dedupe(parts))])
+    return frozenset(
+        big_and(_dedupe(phis + [Not(psi_j)])) for b_j, psi_j in positives if cover <= b_j
+    )
 
 
 ROOT_STATE = "s0"

@@ -12,7 +12,9 @@ the string-tagged clause reading whose clause and family order
 ``cglogic.normalform.to_standard_disjunctions`` is held to, the model-file
 document that ``cglogic.models.save_model``'s bytes are tested against, and
 the renaming glue that ``cglogic.synth.realize``'s gluing by state offset
-is tested against, and the per-level synthesis that
+is tested against, the name-based blueprint that
+``cglogic.synth.build_blueprint``'s enumeration over base-action numbers is
+tested against, and the per-level synthesis that
 ``cglogic.synth.synthesize``, with one oracle and one memo per query, is
 tested against."""
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from typing import NamedTuple
 
 from cglogic import (
@@ -42,6 +45,7 @@ from cglogic.normalform import (
     ClauseCapError,
     Literal,
     StandardDisjunction,
+    basic_positive_indices,
     to_standard_disjunctions,
 )
 from cglogic.synth import ROOT_STATE, RealizationError
@@ -58,6 +62,7 @@ from cglogic.syntax import (
     ParseError,
     Top,
     _tokenize,
+    big_and,
     modal_depth,
     render,
 )
@@ -697,6 +702,42 @@ def reference_glue(bp, gamma, provider):
     outcomes[ROOT_STATE] = root_entries
     atoms = tuple(sorted(atoms))
     return Model(bp.agents, tuple(actions), tuple(states), outcomes, labels, atoms)
+
+
+def reference_blueprint(clause, logic):
+    """The blueprint ``build_blueprint(clause, logic)`` builds, enumerated
+    over base-action names: the support compares the names each agent plays
+    with ``n<i>``, the impeached index is read back out of names ``p<j>`` by
+    a regex, and every profile's listing is built afresh."""
+    negatives, positives = clause.negatives, clause.positives
+    base = tuple(f"n{i}" for i in range(len(negatives)))
+    base += tuple(f"p{j}" for j in range(len(positives)))
+    basics = sorted(basic_positive_indices(clause))
+    listing = {}
+    for profile in itertools.product(base, repeat=clause.agents):
+        supp = frozenset(
+            i for i, (a_i, _) in enumerate(negatives) if all(profile[a] == f"n{i}" for a in a_i)
+        )
+        if not decide.is_neat(supp, negatives, logic):
+            continue
+        phis = [negatives[i][1] for i in sorted(supp)]
+        cover = frozenset().union(*(negatives[i][0] for i in supp))
+        if logic.has_D:
+            played = [re.fullmatch(r"p(\d+)", action) for action in profile]
+            target = sum(int(match.group(1)) for match in played if match) % len(positives)
+            if not cover <= positives[target][0]:
+                target = 0
+            parts = phis + [Not(positives[target][1])]
+            parts += [Not(positives[k][1]) for k in basics if k != target]
+            formulas = [big_and(list(dict.fromkeys(parts)))]
+        else:
+            formulas = [
+                big_and(list(dict.fromkeys(phis + [Not(psi_j)])))
+                for b_j, psi_j in positives
+                if cover <= b_j
+            ]
+        listing[profile] = frozenset(formulas)
+    return Blueprint(clause.agents, base, listing)
 
 
 def coal_nodes(f) -> set:

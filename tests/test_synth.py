@@ -49,17 +49,19 @@ AG2 = frozenset({0, 1})
 
 
 def test_support_examples():
+    # base-action numbers 0..2 stand for antecedent indices 0..2, 3 and up
+    # for consequent indices
     # all agents play the action of negative index 1
-    everyone_n1 = (neg_action(1), neg_action(1))
+    everyone_n1 = (1, 1)
     assert support(NEGATIVES, AG2, everyone_n1) == {0, 1}
     # all agents play the positive index 0 action: only empty-coalition indices
-    everyone_p0 = (pos_action(0), pos_action(0))
+    everyone_p0 = (len(NEGATIVES), len(NEGATIVES))
     assert support(NEGATIVES, AG2, everyone_p0) == {0}
 
 
 def test_support_restriction_monotone():
     rng = random.Random(2)
-    base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(j) for j in range(2)]
+    base = range(len(NEGATIVES) + 2)
     for _ in range(150):
         full = tuple(rng.choice(base) for _ in range(2))
         for c in coalitions(2):
@@ -71,7 +73,7 @@ def test_support_claim_cover_and_neatness():
     # whatever the joint action, the supported coalitions sit inside the
     # acting coalition and are pairwise disjoint
     rng = random.Random(4)
-    base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(0)]
+    base = range(len(NEGATIVES) + 1)
     for _ in range(150):
         for c in coalitions(2):
             ja = tuple(rng.choice(base) for a in sorted(c))
@@ -84,18 +86,21 @@ def test_support_claim_cover_and_neatness():
 
 def test_support_nonempty_when_negatives_nonempty():
     rng = random.Random(6)
-    base = [neg_action(i) for i in range(len(NEGATIVES))] + [pos_action(0), pos_action(1)]
+    base = range(len(NEGATIVES) + 2)
     for _ in range(100):
         full = tuple(rng.choice(base) for _ in range(2))
         assert support(NEGATIVES, AG2, full) != frozenset()
 
 
 def test_impeach_examples():
-    assert impeach((neg_action(1), neg_action(2)), 3) == 0
-    assert impeach((pos_action(1), pos_action(2)), 3) == 0
-    assert impeach((pos_action(2), neg_action(0)), 3) == 2
+    # three antecedent indices: numbers 3, 4, 5 are consequent indices 0, 1, 2
+    assert impeach((1, 2), 3, 3) == 0
+    assert impeach((4, 5), 3, 3) == 0
+    assert impeach((5, 0), 3, 3) == 2
     with pytest.raises(ValueError):
-        impeach((), 0)
+        impeach((), 0, 0)
+    with pytest.raises(ValueError):
+        impeach((), 3, 0)
 
 
 def spec_clause():
@@ -137,10 +142,44 @@ def test_blueprint_listing_nonempty_iff_support_neat():
     clause = spec_clause()
     for x in ALL_LOGICS:
         bp = build_blueprint(clause, x)
-        for action in bp.base_actions:
-            profile = (action,)
-            supp = support(clause.negatives, frozenset({0}), profile)
-            assert (profile in bp.listing) == is_neat(supp, clause.negatives, x)
+        for number, action in enumerate(bp.base_actions):
+            supp = support(clause.negatives, frozenset({0}), (number,))
+            assert ((action,) in bp.listing) == is_neat(supp, clause.negatives, x)
+
+
+def _wide_clauses():
+    # F over one agent and G over two, the formulas CI writes models for:
+    # their negations' clauses have 14 and 15 base actions, with two-digit
+    # names up to n11 and p12
+    xs = [f"x{i}" for i in range(11)]
+    abilities = " & ".join(f"<0>{x}" for x in xs)
+    f = parse(f"~(({abilities}) -> <0>({' & '.join(xs)}))", 1)
+    inabilities = " & ".join(f"~<0>q{i}" for i in range(11))
+    g = parse(f"<0>p & {inabilities} & ~<0,1>r", 2)
+    return to_standard_disjunctions(Not(f), 1) + to_standard_disjunctions(Not(g), 2)
+
+
+def test_build_blueprint_matches_the_name_based_reference():
+    # Enumerating profiles as base-action numbers and building one listing
+    # per support (and impeached index) must give the blueprint that
+    # enumerating base-action names and building every profile's listing
+    # gives, past ten base actions too.
+    wide = _wide_clauses()
+    assert sorted(len(c.negatives) + len(c.positives) for c in wide) == [14, 15]
+    clauses = list(wide)
+    rng = random.Random(16)
+    for agents in (1, 2, 3):
+        for _ in range(10):
+            # a conjunction of draws, so the negation's clauses are wider
+            f = big_and([random_formula(rng, 2, agents, ("p", "q")) for _ in range(3)])
+            if modal_depth(f) > 0:
+                clauses += to_standard_disjunctions(Not(f), agents)
+    assert len(clauses) >= 60
+    for clause in clauses:
+        for x in ALL_LOGICS:
+            assert build_blueprint(clause, x) == helpers.reference_blueprint(clause, x)
+    names = {a for c in wide for a in build_blueprint(c, SID).base_actions}
+    assert {"n10", "n11", "p10", "p12"} <= names
 
 
 def test_coalition_table_on_blueprint_listing():
