@@ -3,8 +3,9 @@
 Evaluation works on the model's index form (:mod:`cglogic.models`): a set of
 states is an ``int`` whose bit i is state i.  An atom is its label mask,
 negation is complement within all states and conjunction is ``&``: the
-formula's :func:`~cglogic.syntax.skeleton` program runs over masks, and only
-``<C>`` leaves recurse, into their child's program.  ``<C>phi``
+formula's :func:`~cglogic.syntax.skeleton` program runs over masks, and a
+``<C>`` leaf first runs its child's program, from an explicit stack, so
+nesting depth is not bounded by Python's recursion limit.  ``<C>phi``
 holds at a state when some joint action of C available there has all its
 outcomes inside phi's mask.  With ``bad`` the complement of that mask, a
 listed profile spoils the joint action it projects to when its outcome mask
@@ -13,19 +14,20 @@ joint action no profile of the state spoils.  The profile-to-joint-action
 map is the coalition's :meth:`~cglogic.models.Model.projection`, computed
 once per model, so every ``<C>`` node is one pass over the listed profiles.
 
-Every query goes through :func:`sat_states`, which evaluates a formula over
-the whole model once and keeps the result on the model, so repeated
-``satisfies``/``enables``/``ensures`` calls on one model (the realization
-checks of :mod:`cglogic.synth`, one per glued witness) reuse it.  Each model
-also keeps one memo, ``<C>`` node -> mask, shared by all its
-:func:`sat_states` calls: a ``<C>`` node is evaluated once per model, however
-many formulas contain it, such as the listed disjunctions whose disjuncts
-the glued witnesses were checked against.
+Every query goes through :func:`sat_mask`, which evaluates a formula over
+the whole model once and keeps its mask on the model, in ``mask_memo``.
+The same memo keeps every ``<C>`` node's mask, so a ``<C>`` node is
+evaluated once per model however many formulas contain it, such as the
+listed disjunctions whose disjuncts the glued witnesses of
+:mod:`cglogic.synth` were checked against.  ``satisfies`` then reads one
+bit, and ``enables`` and ``ensures`` compare
+:func:`~cglogic.models.outcome_mask` with the mask; only :func:`sat_states`
+names states.
 """
 
 from __future__ import annotations
 
-from .models import Model, ModelError, outcome
+from .models import Model, ModelError, outcome_mask
 from .syntax import Atom, Formula, max_agent, skeleton
 
 
@@ -35,59 +37,93 @@ def _check_fit(m: Model, f: Formula) -> None:
         raise ValueError(f"formula mentions agent {worst}; model has {m.agents} agent(s)")
 
 
-def sat_states(m: Model, f: Formula) -> frozenset[str]:
-    """States at which the formula holds.
+def sat_mask(m: Model, f: Formula) -> int:
+    """Mask of the states at which the formula holds.
 
-    Results are kept on the model (``m.sat_cache``), keyed by the formula
+    Masks are kept on the model (``m.mask_memo``), keyed by the formula
     node.  Nodes are interned, so a structurally equal formula is the same
-    key, and a lookup reads the node's stored hash: asking again costs one
-    lookup.  Only the top-level result is kept, and only after the formula
+    key, and asking again costs one lookup.  A formula is kept only after it
     passed the agent check, so a formula naming an agent the model lacks
-    raises ``ValueError`` every time.  On a miss, the skeleton program runs
-    over state masks, recursing once per nested ``<C>``; each ``<C>`` node's
-    mask is kept in the model's ``mask_memo``, so it is evaluated once per
-    model.  Unlabeled atoms are false.  Only the result is turned into
-    state names.
+    raises ``ValueError`` every time; a ``<C>`` node is kept while a formula
+    containing it is evaluated.  Unlabeled atoms are false.
     """
-    result = m.sat_cache.get(f)
-    if result is None:
+    mask = m.mask_memo.get(f)
+    if mask is None:
         _check_fit(m, f)
         everything = (1 << len(m.states)) - 1
-        result = m.sat_cache[f] = m.names(_eval_at(m, everything, m.mask_memo, f))
+        mask = m.mask_memo[f] = _eval_at(m, everything, m.mask_memo, f)
+    return mask
+
+
+def sat_states(m: Model, f: Formula) -> frozenset[str]:
+    """States at which the formula holds, by name: :func:`sat_mask`, named
+    once per model and formula and kept in ``m.sat_cache``, so asking again
+    returns the same set."""
+    result = m.sat_cache.get(f)
+    if result is None:
+        result = m.sat_cache[f] = m.names(sat_mask(m, f))
     return result
 
 
 def _eval_at(m: Model, everything: int, memo: dict[Formula, int], node: Formula) -> int:
-    # A module-level function, not a closure: a closure that calls itself is a
-    # reference cycle, which would keep the model alive until the next cyclic
-    # garbage collection.  The memo holds formula nodes, which never refer to
-    # a model, so keeping it on the model makes no cycle either.
+    # The memo holds formula nodes, which never refer to a model, so keeping
+    # it on the model makes no reference cycle.  ``waiting`` holds one frame
+    # per suspended skeleton program: the <C> leaf that waits for its child's
+    # mask, and the program's leaves, steps, root and slots filled so far.
+    label_masks = m.label_masks
+    waiting = []
     leaves, steps, root = skeleton(node)
     values = [everything]
-    for leaf in leaves:
-        if type(leaf) is Atom:
-            values.append(m.label_masks.get(leaf.name, 0))
+    while True:
+        # Fill the leaf slots, up to a <C> leaf whose mask is not known yet.
+        while len(values) <= len(leaves):
+            leaf = leaves[len(values) - 1]
+            if type(leaf) is Atom:
+                values.append(label_masks.get(leaf.name, 0))
+                continue
+            mask = memo.get(leaf)
+            if mask is None:
+                break
+            values.append(mask)
+        else:  # all filled: run the steps; the mask goes to the waiting <C> leaf
+            for a, b in steps:
+                values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
+            if not waiting:
+                return values[root]
+            bad = everything ^ values[root]
+            leaf, leaves, steps, root, values = waiting.pop()
+            values.append(_able(m, leaf.coalition, bad))
+            memo[leaf] = values[-1]
             continue
-        mask = memo.get(leaf)
-        if mask is None:
-            bad = everything ^ _eval_at(m, everything, memo, leaf.child)
-            mask = memo[leaf] = _able(m, leaf.coalition, bad)
-        values.append(mask)
-    for a, b in steps:
-        values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
-    return values[root]
+        # Suspend this program and run the <C> leaf's child first.
+        waiting.append((leaf, leaves, steps, root, values))
+        leaves, steps, root = skeleton(leaf.child)
+        values = [everything]
 
 
 def _able(m: Model, coalition, bad: int) -> int:
     """Mask of the states where the coalition has an available joint action
-    none of whose outcomes lies in ``bad``."""
-    of_profile, _ = m.projection(coalition)
+    none of whose outcomes lies in ``bad``.
+
+    Where each listed profile is its own joint action, because the
+    coalition's projection keeps the profiles apart (the grand coalition's
+    always does) or the state lists one profile, one outcome mask missing
+    ``bad`` decides the state.  Elsewhere the state needs a listed profile
+    whose joint action no profile spoils.
+    """
+    of_profile, joint = m.projection(coalition)
+    apart = len(joint) == len(of_profile)
     result = 0
     bit = 1
     for row in m.rows:
-        if row:
+        if apart or len(row) < 2:
+            for targets in row.values():
+                if not targets & bad:
+                    result |= bit
+                    break
+        else:
             spoiled = {of_profile[n] for n, targets in row.items() if targets & bad}
-            if len(spoiled) < len({of_profile[n] for n in row}):
+            if not spoiled.issuperset(map(of_profile.__getitem__, row)):
                 result |= bit
         bit <<= 1
     return result
@@ -96,24 +132,24 @@ def _able(m: Model, coalition, bad: int) -> int:
 def satisfies(m: Model, state: str, f: Formula) -> bool:
     if state not in m.index:
         raise ModelError(f"unknown state {state!r}")
-    return state in sat_states(m, f)
+    return bool(sat_mask(m, f) >> m.index[state] & 1)
 
 
 def ensures(m: Model, state: str, coalition, ja: tuple[str, ...], f: Formula) -> bool:
     """True iff every outcome of the joint action satisfies f (vacuous on empty)."""
-    out = outcome(m, state, coalition, ja)
+    out = outcome_mask(m, state, coalition, ja)
     if not out:
         return True
-    return out <= sat_states(m, f)
+    return out & sat_mask(m, f) == out
 
 
 def enables(m: Model, state: str, coalition, ja: tuple[str, ...], f: Formula) -> bool:
     """True iff some outcome of the joint action satisfies f."""
-    out = outcome(m, state, coalition, ja)
+    out = outcome_mask(m, state, coalition, ja)
     if not out:
         return False
-    return bool(out & sat_states(m, f))
+    return bool(out & sat_mask(m, f))
 
 
 def valid_on_model(m: Model, f: Formula) -> bool:
-    return sat_states(m, f) == frozenset(m.states)
+    return sat_mask(m, f) == (1 << len(m.states)) - 1

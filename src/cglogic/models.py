@@ -185,10 +185,12 @@ class Model:
     Equality is structural and does not depend on how the profiles were
     numbered.
 
-    ``sat_cache`` is :func:`cglogic.mcheck.sat_states`'s store of results,
-    formula -> satisfying states, and ``mask_memo`` its evaluator's, ``<C>``
-    node -> mask of the states where it holds.  A model never changes, so
-    neither do they.  They take no part in equality.
+    ``mask_memo`` is model checking's store (:mod:`cglogic.mcheck`),
+    formula -> mask of the states where it holds, for every formula checked
+    on the model and every ``<C>`` node inside one; ``sat_cache`` keeps
+    :func:`cglogic.mcheck.sat_states`'s answers, formula -> satisfying
+    states by name.  A model never changes, so neither do they.  They take
+    no part in equality.
     """
 
     __hash__ = None
@@ -390,6 +392,13 @@ def _check_coalition(m: Model, coalition) -> frozenset[int]:
 
 def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[str]:
     """Union of grand-coalition outcomes over all full profiles extending ja."""
+    return m.names(outcome_mask(m, state, coalition, ja))
+
+
+def outcome_mask(m: Model, state: str, coalition, ja: tuple[str, ...]) -> int:
+    """:func:`outcome` as a mask of states, with the same checks and errors:
+    the coalition, then the joint action's length and actions, then the
+    state.  The grand coalition's outcome is one row lookup."""
     coalition = _check_coalition(m, coalition)
     ja = tuple(ja)
     if len(ja) != len(coalition):
@@ -399,13 +408,13 @@ def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[s
             raise ModelError(f"unknown action {action!r}")
     row = m.rows[m.number(state)]
     if len(coalition) == m.agents:
-        return m.names(row.get(m.profile_numbers.get(ja), 0))
+        return row.get(m.profile_numbers.get(ja), 0)
     of_profile, joint = m.projection(coalition)
     mask = 0
     for n, targets in row.items():
         if joint[of_profile[n]] == ja:
             mask |= targets
-    return m.names(mask)
+    return mask
 
 
 def available_actions(m: Model, state: str, coalition) -> set[tuple[str, ...]]:

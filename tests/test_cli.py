@@ -283,20 +283,31 @@ def test_console_entry_point():
     assert proc.returncode == 0 and proc.stdout.strip() == "valid"
 
 
-@pytest.mark.parametrize("command", ["check", "sat", "mc"])
-def test_deep_nesting_exit_code(capsys, tmp_path, command):
-    # Deciding and model checking recurse once per nested <C> (test below
-    # for nesting without modal depth).  Seriality makes the empty antecedent
-    # family neat, so `check` and `sat` reach the innermost modality.
-    if command == "mc":
-        path = tmp_path / "loop.json"
-        save_model(helpers.loop_model(), path)
-        argv = ["mc", str(path), "s0", "<0>" * 1200 + "p"]
-    else:
-        argv = [command, "--logic", "S", "--agents", "1", "<0>" * 1200 + "p"]
+@pytest.mark.parametrize("command", ["check", "sat"])
+def test_deep_nesting_exit_code(capsys, command):
+    # Deciding recurses once per nested <C> (test below for nesting without
+    # modal depth).  Seriality makes the empty antecedent family neat, so
+    # `check` and `sat` reach the innermost modality.
+    argv = [command, "--logic", "S", "--agents", "1", "<0>" * 1200 + "p"]
     code, out, err = run(capsys, "--json", *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: formula nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "labels,expected", [(("p",), "true"), ((), "false")], ids=["p-true", "p-false"]
+)
+def test_mc_answers_deep_coalition_nesting(capsys, tmp_path, labels, expected):
+    # Model checking runs nested <C> nodes from an explicit stack.  On a
+    # one-state loop every <0>phi holds exactly where phi does, so the
+    # answer is p's.
+    path = str(tmp_path / "loop.json")
+    save_model(helpers.loop_model(labels=labels), path)
+    deep = "<0>" * 5000 + "p"
+    for formula in ("p", deep):
+        code, out, err = run(capsys, "--json", "mc", path, "s0", formula)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == expected
 
 
 @pytest.mark.parametrize(

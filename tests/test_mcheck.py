@@ -20,7 +20,7 @@ from cglogic import (
 )
 from cglogic.axioms import a_cea, a_naaa, a_sia, system_instances
 from cglogic.logics import D, E, I, S
-from cglogic.models import Model, coalitions
+from cglogic.models import Model, ModelError, coalitions
 from cglogic.syntax import And, Atom, BOT, Coal, Not, TOP, parse, random_formula, render
 
 P = Atom("p")
@@ -65,6 +65,53 @@ def test_ensures_enables():
     assert not enables(bare, "s0", frozenset(), nobody, P)
 
 
+_FAR = Coal(frozenset({1}), P)  # names agent 1, which a one-agent model lacks
+_UNKNOWN_STATE = (ModelError, "unknown state 'nowhere'")
+_MISSING_AGENT = (ValueError, "formula mentions agent 1; model has 1 agent(s)")
+_JA_LENGTH = (ValueError, "joint action must list one action per coalition member")
+_OUT_OF_RANGE = (ModelError, "coalition [1] out of range for 1 agent(s)")
+_UNKNOWN_ACTION = (ModelError, "unknown action 'zz'")
+
+
+# Each bad call of a public check on a one-state, one-agent loop model: the
+# exact exception type and message, and which is reported when several
+# arguments are bad (for enables/ensures the coalition, then the joint
+# action, then the state, then the formula).
+_BAD_CALLS = {
+    "satisfies-unknown-state": (satisfies, ("nowhere", P), _UNKNOWN_STATE),
+    "satisfies-missing-agent": (satisfies, ("s0", _FAR), _MISSING_AGENT),
+    "satisfies-state-checked-first": (satisfies, ("nowhere", _FAR), _UNKNOWN_STATE),
+}
+for _check in (enables, ensures):
+    _name = _check.__name__
+    _BAD_CALLS.update({
+        f"{_name}-unknown-state": (_check, ("nowhere", (), (), P), _UNKNOWN_STATE),
+        f"{_name}-unknown-action": (_check, ("s0", {0}, ("zz",), P), _UNKNOWN_ACTION),
+        f"{_name}-joint-action-too-long": (_check, ("s0", (), ("a",), P), _JA_LENGTH),
+        f"{_name}-joint-action-too-short": (_check, ("s0", {0}, (), P), _JA_LENGTH),
+        f"{_name}-coalition-out-of-range": (_check, ("s0", {1}, ("a",), P), _OUT_OF_RANGE),
+        f"{_name}-coalition-checked-first": (_check, ("nowhere", {1}, ("zz",), _FAR), _OUT_OF_RANGE),
+        f"{_name}-missing-agent": (_check, ("s0", {0}, ("a",), _FAR), _MISSING_AGENT),
+    })
+
+
+@pytest.mark.parametrize("check,args,error", _BAD_CALLS.values(), ids=_BAD_CALLS.keys())
+def test_checks_raise_the_documented_errors(check, args, error):
+    kind, message = error
+    with pytest.raises(ValueError) as caught:
+        check(helpers.loop_model(), *args)
+    assert type(caught.value) is kind and str(caught.value) == message
+
+
+def test_checks_on_an_empty_outcome_skip_the_formula():
+    # With no outcome, enables is false and ensures vacuously true before the
+    # formula is looked at, so a formula naming a missing agent is not
+    # reported there.
+    empty = helpers.empty_table_model()
+    assert not enables(empty, "s0", {0}, ("a",), _FAR)
+    assert ensures(empty, "s0", {0}, ("a",), _FAR)
+
+
 def test_valid_on_model_examples():
     for x in ALL_LOGICS:
         m = helpers.random_x_model(x, 3)
@@ -76,18 +123,6 @@ def test_valid_on_model_examples():
 
     empty = helpers.empty_table_model()
     assert not valid_on_model(empty, Coal(frozenset(), TOP))
-
-
-def test_agent_mismatch():
-    loop = helpers.loop_model(agents=1)
-    with pytest.raises(ValueError, match="agent 1"):
-        satisfies(loop, "s0", Coal({1}, P))
-
-
-def test_unknown_state():
-    loop = helpers.loop_model()
-    with pytest.raises(Exception):
-        satisfies(loop, "zz", P)
 
 
 def test_coalition_monotonicity_sampled():
@@ -262,9 +297,10 @@ def test_mask_evaluation_and_frame_checks_match_the_string_form_oracle():
         formulas += [Coal(frozenset(), formulas[0]), Coal(grand, Not(formulas[1]))]
         for f in formulas:
             assert sat_states(m, f) == helpers.oracle_sat_states(parts, f), (seed, render(f))
-        coalitions_seen.update(
-            (len(c) == 0, len(c) == m.agents) for c in _coalitions_in(formulas)
-        )
+        for c in _coalitions_in(formulas):
+            of_profile, joint = m.projection(c)
+            apart = len(joint) == len(of_profile)
+            coalitions_seen.add((len(c) == 0, len(c) == m.agents, apart))
         states_without_profiles += sum(not m.entries(s) for s in m.states)
 
         expected = helpers.oracle_violations(parts)
@@ -277,9 +313,13 @@ def test_mask_evaluation_and_frame_checks_match_the_string_form_oracle():
             if got is not None:
                 assert got.describe() == expected[prop].describe()
                 failures[prop] += 1
-    # the empty, the grand and some other coalition, unlisted states, and
+    # the empty, the grand and some other coalition, the last both with a
+    # projection that keeps the profiles apart and with one that merges
+    # some (the two ways a <C> node is decided), unlisted states, and
     # failures of every frame property
-    assert coalitions_seen >= {(True, False), (False, True), (False, False)}
+    seen = {(empty, grand) for empty, grand, _ in coalitions_seen}
+    assert seen >= {(True, False), (False, True), (False, False)}
+    assert {(False, False, True), (False, False, False)} <= coalitions_seen
     assert states_without_profiles >= 50
     assert min(failures.values()) >= 50, failures
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -272,6 +273,39 @@ def test_verify_realization_rejects_changed_root_availability():
         tampered = Model(m.agents, m.actions, m.states, outcomes, m.labels, m.atoms)
         with pytest.raises(RealizationError, match="availability at the root differs"):
             _verify_realization(tampered, bp, frozenset(), [], E)
+
+
+@pytest.mark.parametrize(
+    "breach,message",
+    [
+        ("lost-formula", "glued submodel lost its formula 'p'"),
+        ("not-enabled", "profile ('n0', 'n0') fails to enable 'p'"),
+        ("not-ensured", "profile ('n0', 'n0') fails to ensure its listed disjunction"),
+    ],
+    ids=["lost-formula", "not-enabled", "not-ensured"],
+)
+def test_verify_realization_rejects_a_broken_glue(breach, message):
+    # The realized model passes; a copy rebuilt with one breach of the
+    # realization lemma fails with that breach's message: p's witness root
+    # loses p, p's profile leads to the ~p witness instead, or to both.  The
+    # root lists the same profiles, so availability still matches.
+    bp = Blueprint(2, ("n0", "n1"), {("n0", "n0"): {P}, ("n1", "n1"): {Not(P)}})
+    pointed = realize(bp, frozenset(), lambda f: synthesize(f, E, 2), E)
+    m = pointed.model
+    root = m.entries(pointed.state)
+    witnesses = [(profile, f, *root[profile]) for profile, (f,) in bp.listing.items()]
+    _verify_realization(m, bp, frozenset(), witnesses, E)
+    (_, _, p_root), (_, _, not_p_root) = witnesses
+    outcomes, labels = dict(m.outcomes), dict(m.labels)
+    if breach == "lost-formula":
+        labels[p_root] = labels[p_root] - {"p"}
+    elif breach == "not-enabled":
+        outcomes[pointed.state] = {**root, ("n0", "n0"): frozenset({not_p_root})}
+    else:
+        outcomes[pointed.state] = {**root, ("n0", "n0"): frozenset({p_root, not_p_root})}
+    tampered = Model(m.agents, m.actions, m.states, outcomes, labels, m.atoms)
+    with pytest.raises(RealizationError, match=re.escape(message)):
+        _verify_realization(tampered, bp, frozenset(), witnesses, E)
 
 
 def test_verification_evaluates_each_listed_formula_once(monkeypatch):
