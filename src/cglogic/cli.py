@@ -40,9 +40,15 @@ from .synth import synthesize
 from .syntax import ParseError, parse, random_formula, render
 
 # Desk-scale guidance for `check`, `sat` and `fuzz`, whose cost grows with the
-# formula: `decide._neat_subsets` tries all 2^k subsets of a clause's k
-# antecedents, and `synth.build_blueprint` enumerates |base actions|^agents
-# profiles, one base action per antecedent and per consequent.  A blueprint or
+# formula: for each consequent, `decide.reduction_witness` tries only the
+# maximal neat sets of the clause's k antecedents that the consequent's
+# coalition covers (by monotonicity a smaller set cannot succeed where a
+# larger one failed): at most k sets without independence, and the maximal
+# families of disjoint coalitions with it.  Each try decides a reduced
+# implication; at depth 0 that is a truth table with one row per assignment
+# to its atoms and `<C>` leaves (2^k rows for the fan family's k atoms).
+# `synth.build_blueprint` enumerates |base actions|^agents profiles, one base
+# action per antecedent and per consequent.  A blueprint or
 # random model (`gen`, `fuzz`) that would enumerate more than
 # `models.PROFILE_CAP` profiles exits 3 before building any (17 agents with two
 # actions already do), as does an agent count above it.  `sat --model` decides

@@ -7,7 +7,10 @@ consequent index reduces it to a valid strictly-shallower implication.  The
 reduction is exact in both directions: a failed reduction yields a concrete
 countermodel (the blueprint construction in :mod:`cglogic.synth`), and a
 successful one corresponds to a derivation in the matching axiomatic system,
-so deciding the reduced implications decides the clause.
+so deciding the reduced implications decides the clause.  A larger neat set
+has a stronger antecedent, so a consequent index only needs the maximal neat
+sets its coalition covers (monotonicity): at most one per antecedent index
+without independence, instead of every subset of the antecedents.
 
 The truth table runs the formula's :func:`~cglogic.syntax.skeleton` program,
 the one also run by the normal form and by model checking, once per
@@ -108,16 +111,41 @@ def is_neat(indices, negatives, logic: LogicId) -> bool:
     return True
 
 
-def _neat_subsets(negatives, logic: LogicId) -> list[frozenset[int]]:
-    """All neat index sets, largest first, deterministic order."""
-    found = []
-    indices = range(len(negatives))
-    for size in range(len(negatives), -1, -1):
-        for combo in itertools.combinations(indices, size):
-            candidate = frozenset(combo)
-            if is_neat(candidate, negatives, logic):
-                found.append(candidate)
-    return found
+def _maximal_neat_sets(empty, nonempty, cover, logic: LogicId):
+    """The maximal neat index sets whose coalitions all lie inside ``cover``,
+    largest first and in ``itertools.combinations`` order within a size.
+
+    ``empty`` is the set of indices with the empty coalition and
+    ``nonempty`` the (index, coalition) pairs of the others.  An empty
+    coalition is disjoint from every coalition, so each maximal set holds
+    all of ``empty``.  Without I it adds at most one covered nonempty index;
+    with I, a maximal family of pairwise disjoint covered coalitions (Bron
+    and Kerbosch 1973, over the disjointness relation).  All the sets share
+    ``empty``, so their order is the order of the added indices.  The empty
+    set is neat only under S, and maximal only when no antecedent is
+    covered.
+    """
+    covered = [(i, c) for i, c in nonempty if c <= cover]
+    if not logic.has_I:
+        families = [(i,) for i, _ in covered]
+    else:
+        families = []
+        stack = [((), covered, [])]
+        while stack:
+            chosen, candidates, excluded = stack.pop()
+            if not candidates and not excluded:
+                families.append(chosen)
+            for pos, (i, c) in enumerate(candidates):
+                stack.append((
+                    chosen + (i,),
+                    [(k, d) for k, d in candidates[pos + 1 :] if not c & d],
+                    [(k, d) for k, d in excluded + candidates[:pos] if not c & d],
+                ))
+        families.sort(key=lambda family: (-len(family), family))
+    for family in families or [()]:
+        neat = empty.union(family)
+        if neat or logic.has_S:
+            yield neat
 
 
 def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> ReductionWitness | None:
@@ -125,23 +153,26 @@ def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> Reduction
 
     ``rec`` is the validity oracle applied to the reduced implications; each
     of them has strictly smaller modal depth than the clause.  The search
-    runs consequent indices in ascending order and neat sets by decreasing
-    cardinality; the order only affects which witness is reported.
+    runs consequent indices in ascending order and, for each index j, the
+    maximal neat sets covered by B_j by decreasing cardinality; the order
+    only affects which witness is reported.
+
+    Only maximal sets are tried (Mon): if N is contained in a covered neat
+    set N', the antecedent of N' implies that of N, so N' reduces to a valid
+    implication whenever N does.  For the same reason the first witness
+    among all covered neat sets, taken in the same order, is itself maximal,
+    so skipping the others never changes the witness reported.
     """
     if any(lit.complement() in sd.gamma for lit in sd.gamma):
         return ReductionWitness(kind="gamma")
-    basics = sorted(basic_positive_indices(sd))
-    neat_sets = _neat_subsets(sd.negatives, logic)
+    negatives = sd.negatives
+    empty = frozenset(i for i, (c, _) in enumerate(negatives) if not c)
+    nonempty = [(i, c) for i, (c, _) in enumerate(negatives) if c]
+    basics = [sd.positives[k][1] for k in sorted(basic_positive_indices(sd))]
     for j, (b_j, psi_j) in enumerate(sd.positives):
-        for neat in neat_sets:
-            cover = frozenset().union(*(sd.negatives[i][0] for i in neat)) if neat else frozenset()
-            if not cover <= b_j:
-                continue
-            antecedent = big_and(sd.negatives[i][1] for i in sorted(neat))
-            if logic.has_D:
-                goal = big_or([psi_j] + [sd.positives[k][1] for k in basics])
-            else:
-                goal = psi_j
+        goal = big_or([psi_j] + basics) if logic.has_D else psi_j
+        for neat in _maximal_neat_sets(empty, nonempty, b_j, logic):
+            antecedent = big_and(negatives[i][1] for i in sorted(neat))
             reduced = Implies(antecedent, goal)
             if rec(reduced):
                 return ReductionWitness("modal", neat, j, reduced)

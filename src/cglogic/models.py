@@ -287,6 +287,7 @@ class Model:
         self.sat_cache: dict = {}
         self.mask_memo: dict = {}
         self._projections: dict = {}
+        self._grand = frozenset(range(agents))
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -370,7 +371,7 @@ class Model:
         return self.outcomes.get(state, {})
 
     def full_coalition(self) -> frozenset[int]:
-        return frozenset(range(self.agents))
+        return self._grand
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,14 @@ def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[s
 def outcome_mask(m: Model, state: str, coalition, ja: tuple[str, ...]) -> int:
     """:func:`outcome` as a mask of states, with the same checks and errors:
     the coalition, then the joint action's length and actions, then the
-    state.  The grand coalition's outcome is one row lookup."""
+    state.  The grand coalition's outcome is one row lookup; for a listed
+    profile it skips the checks, which the model's construction made."""
+    try:
+        number = m.profile_numbers.get(ja) if coalition == m._grand else None
+    except TypeError:  # an unhashable joint action, such as a list
+        number = None
+    if number is not None:
+        return m.rows[m.number(state)].get(number, 0)
     coalition = _check_coalition(m, coalition)
     ja = tuple(ja)
     if len(ja) != len(coalition):
@@ -561,10 +569,12 @@ def _model_text(m: Model, pointed: str | None) -> str:
 
     Strings go through ``encode_basestring_ascii``, the encoder ``json.dumps``
     uses under its default ``ensure_ascii=True``.  Each state, atom and
-    distinct profile is encoded once and its text reused.
+    action is encoded once, and each distinct profile's text is laid out
+    once from its actions' encodings.
     """
     encode = encode_basestring_ascii
     names = list(map(encode, m.states))
+    action_texts = dict(zip(m.actions, map(encode, m.actions)))
     # Each state's atoms, in sorted order because the atoms are; distinct
     # label sets are few, and each is laid out once.
     marked: list[list[str]] = [[] for _ in names]
@@ -582,7 +592,8 @@ def _model_text(m: Model, pointed: str | None) -> str:
         label_lines.append("    " + name + ": " + text)
     # An entry is its state's head, its profile's text up to the outcome
     # list, and that list, which is never empty, with the closing brace.
-    # Profiles are written in tuple order and outcome states in name order.
+    # Profiles are written in tuple order (most glued states list one) and
+    # outcome states in name order.
     profiles = m.profiles
     profile_texts: list[str | None] = [None] * len(profiles)
     entries = []
@@ -590,11 +601,11 @@ def _model_text(m: Model, pointed: str | None) -> str:
         if not row:
             continue
         head = '{\n      "state": ' + name + ',\n      "profile": '
-        for n in sorted(row, key=profiles.__getitem__):
+        for n in sorted(row, key=profiles.__getitem__) if len(row) > 1 else row:
             text = profile_texts[n]
             if text is None:
-                text = _json_list(list(map(encode, profiles[n])), "        ")
-                text = profile_texts[n] = text + ',\n      "to": [\n        '
+                text = ",\n        ".join(map(action_texts.__getitem__, profiles[n]))
+                text = profile_texts[n] = f'[\n        {text}\n      ],\n      "to": [\n        '
             mask = row[n]
             if mask & (mask - 1):
                 targets = sorted(_bit_numbers(mask), key=m.states.__getitem__)
@@ -604,7 +615,7 @@ def _model_text(m: Model, pointed: str | None) -> str:
             entries.append(head + text + to + "\n      ]\n    }")
     fields = [
         '{\n  "agents": ' + int.__repr__(m.agents),
-        '  "actions": ' + _json_list(list(map(encode, m.actions)), "    "),
+        '  "actions": ' + _json_list(list(action_texts.values()), "    "),
         '  "states": ' + _json_list(names, "    "),
         '  "atoms": ' + _json_list(list(map(encode, m.atoms)), "    "),
         '  "labels": {\n' + ",\n".join(label_lines) + "\n  }",

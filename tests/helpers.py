@@ -12,7 +12,9 @@ the string-tagged clause reading whose clause and family order
 ``cglogic.normalform.to_standard_disjunctions`` is held to, the model-file
 document that ``cglogic.models.save_model``'s bytes are tested against, and
 the renaming glue that ``cglogic.synth.realize``'s gluing by state offset
-is tested against, the name-based blueprint that
+is tested against, the search over every neat index set that
+``cglogic.decide.reduction_witness``'s maximal neat sets are tested
+against, the name-based blueprint that
 ``cglogic.synth.build_blueprint``'s enumeration over base-action numbers is
 tested against, and the per-level synthesis that
 ``cglogic.synth.synthesize``, with one oracle and one memo per query, is
@@ -63,6 +65,7 @@ from cglogic.syntax import (
     Top,
     _tokenize,
     big_and,
+    big_or,
     modal_depth,
     render,
 )
@@ -702,6 +705,42 @@ def reference_glue(bp, gamma, provider):
     outcomes[ROOT_STATE] = root_entries
     atoms = tuple(sorted(atoms))
     return Model(bp.agents, tuple(actions), tuple(states), outcomes, labels, atoms)
+
+
+def reference_neat_subsets(negatives, logic) -> list[frozenset[int]]:
+    """All neat index sets, largest first, then in ``itertools.combinations``
+    order."""
+    indices = range(len(negatives))
+    return [
+        frozenset(combo)
+        for size in range(len(negatives), -1, -1)
+        for combo in itertools.combinations(indices, size)
+        if decide.is_neat(combo, negatives, logic)
+    ]
+
+
+def reference_reduction_witness(sd, logic, rec):
+    """The witness ``decide.reduction_witness`` reports, found by trying
+    every neat set covered by B_j, not only the maximal ones, for each
+    consequent index j in ascending order."""
+    if any(lit.complement() in sd.gamma for lit in sd.gamma):
+        return decide.ReductionWitness(kind="gamma")
+    basics = sorted(basic_positive_indices(sd))
+    neat_sets = reference_neat_subsets(sd.negatives, logic)
+    for j, (b_j, psi_j) in enumerate(sd.positives):
+        for neat in neat_sets:
+            cover = frozenset().union(*(sd.negatives[i][0] for i in neat))
+            if not cover <= b_j:
+                continue
+            antecedent = big_and(sd.negatives[i][1] for i in sorted(neat))
+            if logic.has_D:
+                goal = big_or([psi_j] + [sd.positives[k][1] for k in basics])
+            else:
+                goal = psi_j
+            reduced = Implies(antecedent, goal)
+            if rec(reduced):
+                return decide.ReductionWitness("modal", neat, j, reduced)
+    return None
 
 
 def reference_blueprint(clause, logic):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 import helpers
-from cglogic import ALL_LOGICS
+from cglogic import ALL_LOGICS, decide
 from cglogic.axioms import a_cea, a_det, a_ia, a_naaa, a_ser, a_sia, mon_conclusion, system_instances
+from cglogic.cli import main
 from cglogic.decide import (
     explain,
     is_neat,
@@ -18,7 +19,7 @@ from cglogic.decide import (
 from cglogic.logics import D, E, I, ID, LogicId, S, SD, SI, SID
 from cglogic.mcheck import satisfies, valid_on_model
 from cglogic.models import validate_model
-from cglogic.normalform import to_standard_disjunctions
+from cglogic.normalform import StandardDisjunction, to_standard_disjunctions
 from cglogic.synth import synthesize
 from cglogic.syntax import (
     And,
@@ -29,6 +30,7 @@ from cglogic.syntax import (
     Not,
     Or,
     TOP,
+    modal_depth,
     parse,
     random_formula,
     render,
@@ -228,3 +230,92 @@ def test_deterministic_results():
     f = parse("(<0>p & <1>q) -> <0,1>(p & q)", 2)
     assert is_valid(f, SI, 2) == is_valid(f, SI, 2)
     assert [is_valid(f, x, 2) for x in ALL_LOGICS] == [x.has_I for x in ALL_LOGICS]
+
+
+_POOL = (P, Q, Not(P), And(P, Q), Or(P, Q), TOP, BOT, Coal({0}, P), Not(Coal({1, 2}, Q)))
+_COALITIONS = tuple(
+    frozenset(c) for size in range(4) for c in itertools.combinations(range(3), size)
+)
+
+
+def _random_clause(rng):
+    """A 3-agent clause whose antecedents may have empty coalitions, whose
+    consequents may be ``<*>``, and whose antecedent family may be empty."""
+    negatives = ()
+    if rng.random() < 0.8:
+        negatives = ((frozenset(), TOP),) + tuple(
+            (rng.choice(_COALITIONS), rng.choice(_POOL)) for _ in range(rng.randint(0, 5))
+        )
+    positives = ((frozenset(range(3)), BOT),) + tuple(
+        (rng.choice(_COALITIONS), rng.choice(_POOL)) for _ in range(rng.randint(0, 3))
+    )
+    return StandardDisjunction(3, frozenset(), negatives, positives)
+
+
+def test_reduction_witness_matches_the_full_neat_set_search():
+    rng = random.Random(53)
+    clauses = [_random_clause(rng) for _ in range(250)]
+    for _ in range(60):
+        f = random_formula(rng, 2, 3)
+        if modal_depth(f):
+            clauses.extend(to_standard_disjunctions(f, 3))
+    seen = {"modal": 0, "empty coalition kept": 0, "empty set": 0, "no-S none": 0}
+    for x in ALL_LOGICS:
+        rec = validity_oracle(x, 3)
+        for clause in clauses:
+            witness = reduction_witness(clause, x, rec)
+            assert witness == helpers.reference_reduction_witness(clause, x, rec), (x.name, clause)
+            if witness is not None and witness.kind == "modal":
+                seen["modal"] += 1
+                seen["empty coalition kept"] += any(
+                    not clause.negatives[i][0] for i in witness.neat
+                ) and len(witness.neat) > 1
+                seen["empty set"] += not witness.neat
+            if not clause.negatives and not x.has_S:
+                seen["no-S none"] += witness is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_maximal_neat_sets_are_the_maximal_covered_neat_sets():
+    rng = random.Random(59)
+    for _ in range(300):
+        negatives = tuple((rng.choice(_COALITIONS), P) for _ in range(rng.randint(0, 6)))
+        cover = rng.choice(_COALITIONS)
+        empty = frozenset(i for i, (c, _) in enumerate(negatives) if not c)
+        nonempty = [(i, c) for i, (c, _) in enumerate(negatives) if c]
+
+        def covered(neat):
+            return all(negatives[i][0] <= cover for i in neat)
+
+        for x in ALL_LOGICS:
+            got = list(decide._maximal_neat_sets(empty, nonempty, cover, x))
+            every = [n for n in helpers.reference_neat_subsets(negatives, x) if covered(n)]
+            for neat in got:
+                assert is_neat(neat, negatives, x) and covered(neat)
+                for i in set(range(len(negatives))) - neat:
+                    bigger = neat | {i}
+                    assert not (is_neat(bigger, negatives, x) and covered(bigger))
+            for neat in every:
+                assert any(neat <= maximal for maximal in got)
+            # no repeats, and the order of the full search
+            assert got == [n for n in every if n in got]
+
+
+def _fan(k: int) -> str:
+    antecedent = " & ".join(f"<{i % 3}>x{i}" for i in range(k))
+    return f"{antecedent} -> <0,1,2>({' & '.join(f'x{i}' for i in range(k))})"
+
+
+def test_check_trace_on_fans_matches_the_full_neat_set_search(capsys, monkeypatch):
+    def traces():
+        out = []
+        for k in range(1, 10):
+            for text in (_fan(k), f"~({_fan(k)})"):
+                for x in ALL_LOGICS:
+                    assert main(["check", "--trace", "--logic", x.name, "--agents", "3", text]) == 0
+                    out.append(capsys.readouterr().out)
+        return out
+
+    got = traces()
+    monkeypatch.setattr(decide, "reduction_witness", helpers.reference_reduction_witness)
+    assert got == traces()

@@ -86,6 +86,7 @@ for _check in (enables, ensures):
     _name = _check.__name__
     _BAD_CALLS.update({
         f"{_name}-unknown-state": (_check, ("nowhere", (), (), P), _UNKNOWN_STATE),
+        f"{_name}-unknown-state-listed-profile": (_check, ("nowhere", {0}, ("a",), P), _UNKNOWN_STATE),
         f"{_name}-unknown-action": (_check, ("s0", {0}, ("zz",), P), _UNKNOWN_ACTION),
         f"{_name}-joint-action-too-long": (_check, ("s0", (), ("a",), P), _JA_LENGTH),
         f"{_name}-joint-action-too-short": (_check, ("s0", {0}, (), P), _JA_LENGTH),
