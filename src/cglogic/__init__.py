@@ -47,7 +47,6 @@ from .models import (
 from .mcheck import enables, ensures, sat_states, satisfies, valid_on_model
 from .normalform import (
     ClauseCapError,
-    Literal,
     StandardDisjunction,
     basic_positive_indices,
     sd_to_formula,

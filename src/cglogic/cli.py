@@ -4,13 +4,14 @@ Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
 output directory), 3 resource cap exceeded (the clause cap, the profile cap
 of 100000 on the profiles a random model or a blueprint enumerates and on the
-agent count and a random model's state and action counts, or `<C>` nested
-deeper than the recursion limit).  Output is line-oriented text; --json
-switches each command to one JSON record.
+agent count and a random model's state and action counts, or, for `check`
+and `sat`, `<C>` nested deeper than the recursion limit).  Output is
+line-oriented text; --json switches each command to one JSON record.
 
-Parsing and formula traversals are iterative over `~`, `&` and parentheses.
-Only nested `<C>` (modal depth) is bounded by the recursion limit, as
-deciding, synthesis and model checking recurse once per level.
+Parsing, formula traversals and model checking are iterative, so `mc`
+answers `<0><0>...<0>p` at any nesting depth.  Only `check` and `sat` are
+bounded by the recursion limit in nested `<C>` (modal depth), as deciding
+and synthesis recurse once per level.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> Reduction
     among all covered neat sets, taken in the same order, is itself maximal,
     so skipping the others never changes the witness reported.
     """
-    if any(lit.complement() in sd.gamma for lit in sd.gamma):
+    if any((atom, not positive) in sd.gamma for atom, positive in sd.gamma):
         return ReductionWitness(kind="gamma")
     negatives = sd.negatives
     empty = frozenset(i for i, (c, _) in enumerate(negatives) if not c)

@@ -15,19 +15,19 @@ map is the coalition's :meth:`~cglogic.models.Model.projection`, computed
 once per model, so every ``<C>`` node is one pass over the listed profiles.
 
 Every query goes through :func:`sat_mask`, which evaluates a formula over
-the whole model once and keeps its mask on the model, in ``mask_memo``.
-The same memo keeps every ``<C>`` node's mask, so a ``<C>`` node is
-evaluated once per model however many formulas contain it, such as the
-listed disjunctions whose disjuncts the glued witnesses of
+the whole model once and keeps its mask on the model, in ``mask_memo``, the
+model's one memo.  It also keeps every ``<C>`` node's mask, so a ``<C>``
+node is evaluated once per model however many formulas contain it, such as
+the listed disjunctions whose disjuncts the glued witnesses of
 :mod:`cglogic.synth` were checked against.  ``satisfies`` then reads one
 bit, and ``enables`` and ``ensures`` compare
 :func:`~cglogic.models.outcome_mask` with the mask; only :func:`sat_states`
-names states.
+names states, from the kept mask, on each call.
 """
 
 from __future__ import annotations
 
-from .models import Model, ModelError, outcome_mask
+from .models import Model, outcome_mask
 from .syntax import Atom, Formula, max_agent, skeleton
 
 
@@ -56,13 +56,9 @@ def sat_mask(m: Model, f: Formula) -> int:
 
 
 def sat_states(m: Model, f: Formula) -> frozenset[str]:
-    """States at which the formula holds, by name: :func:`sat_mask`, named
-    once per model and formula and kept in ``m.sat_cache``, so asking again
-    returns the same set."""
-    result = m.sat_cache.get(f)
-    if result is None:
-        result = m.sat_cache[f] = m.names(sat_mask(m, f))
-    return result
+    """States at which the formula holds, by name: :func:`sat_mask`'s
+    answer, named afresh on each call; only the mask is kept."""
+    return m.names(sat_mask(m, f))
 
 
 def _eval_at(m: Model, everything: int, memo: dict[Formula, int], node: Formula) -> int:
@@ -130,9 +126,10 @@ def _able(m: Model, coalition, bad: int) -> int:
 
 
 def satisfies(m: Model, state: str, f: Formula) -> bool:
-    if state not in m.index:
-        raise ModelError(f"unknown state {state!r}")
-    return bool(sat_mask(m, f) >> m.index[state] & 1)
+    """True iff the formula holds at the state; an unknown state is
+    reported before the formula is checked."""
+    number = m.number(state)
+    return bool(sat_mask(m, f) >> number & 1)
 
 
 def ensures(m: Model, state: str, coalition, ja: tuple[str, ...], f: Formula) -> bool:

@@ -185,12 +185,11 @@ class Model:
     Equality is structural and does not depend on how the profiles were
     numbered.
 
-    ``mask_memo`` is model checking's store (:mod:`cglogic.mcheck`),
+    ``mask_memo`` is model checking's one store (:mod:`cglogic.mcheck`),
     formula -> mask of the states where it holds, for every formula checked
-    on the model and every ``<C>`` node inside one; ``sat_cache`` keeps
-    :func:`cglogic.mcheck.sat_states`'s answers, formula -> satisfying
-    states by name.  A model never changes, so neither do they.  They take
-    no part in equality.
+    on the model and every ``<C>`` node inside one; answers by state name
+    are named from it when asked for.  A model never changes, so neither
+    does the memo.  It takes no part in equality.
     """
 
     __hash__ = None
@@ -284,7 +283,6 @@ class Model:
         self.profile_numbers = numbers
         self.rows = tuple(rows)
         self.label_masks = label_masks
-        self.sat_cache: dict = {}
         self.mask_memo: dict = {}
         self._projections: dict = {}
         self._grand = frozenset(range(agents))
@@ -313,11 +311,10 @@ class Model:
         return frozenset(map(self.states.__getitem__, _bit_numbers(mask)))
 
     def number(self, state: str) -> int:
-        """A state's bit number."""
-        number = self.index.get(state)
-        if number is None:
+        """A state's bit number; an unknown or unhashable state is a ModelError."""
+        if not _known(state, self.index):
             raise ModelError(f"unknown state {state!r}")
-        return number
+        return self.index[state]
 
     def projection(self, coalition) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
         """The coalition's projection of the model's distinct profiles.

@@ -39,19 +39,6 @@ class ClauseCapError(RuntimeError):
     """Distribution would exceed the clause-count cap, :data:`CLAUSE_CAP`."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: str
-    positive: bool = True
-
-    def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-    def to_formula(self) -> Formula:
-        node = Atom(self.atom)
-        return node if self.positive else Not(node)
-
-
 _EMPTY_TOP: tuple[frozenset[int], Formula] = (frozenset(), TOP)
 
 
@@ -62,10 +49,14 @@ class StandardDisjunction:
     Its negation, the standard conjunction
     ~gamma ^ /\\_i <A_i>phi_i ^ /\\_j ~<B_j>psi_j, has the same two families
     and the complemented literals of gamma, so the clause stands for both.
+
+    gamma holds the clause's propositional literals in the form every
+    clause literal takes, ``(Atom, polarity)`` pairs, so a literal's
+    complement is ``(atom, not polarity)``.
     """
 
     agents: int
-    gamma: frozenset[Literal]
+    gamma: frozenset[tuple[Atom, bool]]
     negatives: tuple[tuple[frozenset[int], Formula], ...]
     positives: tuple[tuple[frozenset[int], Formula], ...]
 
@@ -83,9 +74,19 @@ class StandardDisjunction:
             if not coalition <= ag:
                 agents = f"{self.agents} agent(s)"
                 raise ValueError(f"coalition {sorted(coalition)} out of range for {agents}")
-        for literal in self.gamma:
-            if not isinstance(literal, Literal):
-                raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
+        check_literals(self.gamma)
+
+
+def check_literals(gamma) -> None:
+    """Reject a gamma member that is not an ``(Atom, polarity)`` pair."""
+    for literal in gamma:
+        if not (
+            type(literal) is tuple
+            and len(literal) == 2
+            and type(literal[0]) is Atom
+            and type(literal[1]) is bool
+        ):
+            raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
 
 
 def _dedupe(items):
@@ -154,7 +155,7 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
             # a tautology without losing its other (depth-carrying) members.
             saw_top = saw_top or positive
         elif type(leaf) is Atom:
-            gamma.add(Literal(leaf.name, positive))
+            gamma.add((leaf, positive))
         else:
             modal.append((leaf, positive))
     # Clause literals are (leaf, polarity) pairs in a set; only the <C>
@@ -191,8 +192,8 @@ def sd_to_formula(sd: StandardDisjunction) -> Formula:
     Empty gamma reads as falsity and an empty antecedent family as a truth
     antecedent.
     """
-    ordered = sorted(sd.gamma, key=lambda lit: (lit.atom, not lit.positive))
-    gamma = big_or(lit.to_formula() for lit in ordered)
+    ordered = sorted(sd.gamma, key=lambda lit: (lit[0].name, not lit[1]))
+    gamma = big_or(atom if positive else Not(atom) for atom, positive in ordered)
     antecedent = big_and(Coal(c, f) for c, f in sd.negatives)
     consequent = big_or(Coal(c, f) for c, f in sd.positives)
     return big_or([gamma, Implies(antecedent, consequent)])

@@ -30,10 +30,10 @@ from .models import (
     validate_model,
 )
 from .normalform import (
-    Literal,
     StandardDisjunction,
     _dedupe,
     basic_positive_indices,
+    check_literals,
     to_standard_disjunctions,
 )
 from .syntax import Formula, Not, big_and, big_or, modal_depth, render
@@ -177,12 +177,14 @@ def check_regular(bp: Blueprint, logic: LogicId, sat) -> bool:
 def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
     """Glue provider-supplied submodels under a fresh root state.
 
-    ``gamma`` is a set of propositional literals without complementary pairs;
-    the root is labeled with its positive atoms.  ``provider`` maps each
-    listed formula to a pointed model of the right logic satisfying it.
-    The glued model is built in index form: each submodel's states follow
-    the ones before it, so its rows and label masks are shifted by that
-    state offset and its profile numbers by the profiles before it.  Its
+    ``gamma`` is a set of propositional literals, ``(Atom, polarity)``
+    pairs as in :class:`~cglogic.normalform.StandardDisjunction`, without
+    complementary pairs; the root is labeled with its positive atoms.
+    ``provider`` maps each listed formula to a pointed model of the right
+    logic satisfying it.  The glued model is built in index form: each
+    submodel's states follow the ones before it, so its rows and label
+    masks are shifted by that state offset and its profile numbers by the
+    profiles before it.  Its
     state and action names are prefixed with the profile and the formula's
     position, keeping the namespaces disjoint; the base actions never
     contain ``#`` and survive unchanged.  The root lists each listed profile
@@ -190,11 +192,10 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
     verified on the glued model and any breach raises RealizationError.
     """
     gamma = frozenset(gamma)
-    for literal in gamma:
-        if not isinstance(literal, Literal):
-            raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
-        if literal.complement() in gamma:
-            raise ValueError(f"gamma contains complementary pair on {literal.atom!r}")
+    check_literals(gamma)
+    for atom, positive in gamma:
+        if (atom, not positive) in gamma:
+            raise ValueError(f"gamma contains complementary pair on {atom.name!r}")
 
     listed = sorted(bp.listing)
     states = [ROOT_STATE]
@@ -202,8 +203,8 @@ def realize(bp: Blueprint, gamma, provider, logic: LogicId) -> PointedModel:
     profiles = list(listed)
     root_row: dict[int, int] = {}
     rows = [root_row]
-    label_masks = {literal.atom: 1 for literal in gamma if literal.positive}
-    atoms = {literal.atom for literal in gamma}
+    label_masks = {atom.name: 1 for atom, positive in gamma if positive}
+    atoms = {atom.name for atom, _ in gamma}
     witness_roots: list[tuple[tuple[str, ...], Formula, str]] = []
 
     for number, profile in enumerate(listed):
@@ -244,8 +245,9 @@ def _verify_realization(model: Model, bp: Blueprint, gamma, witness_roots, logic
     if available_actions(model, ROOT_STATE, full) != set(bp.listing):
         raise RealizationError("availability at the root differs from the blueprint")
     root_bit = 1 << model.index[ROOT_STATE]
-    for literal in gamma:
-        if literal.positive != bool(model.label_masks.get(literal.atom, 0) & root_bit):
+    for atom, positive in gamma:
+        if positive != bool(model.label_masks.get(atom.name, 0) & root_bit):
+            literal = render(atom if positive else Not(atom))
             raise RealizationError(f"root does not satisfy literal {literal!r}")
     for profile, formula, root in witness_roots:
         if not satisfies(model, root, formula):
@@ -315,7 +317,7 @@ def _synthesize(f, logic, agents, rec, memo) -> PointedModel | None:
             memo[chi] = pointed
         return memo[chi]
 
-    gamma = frozenset(lit.complement() for lit in chosen.gamma)
+    gamma = frozenset((atom, not positive) for atom, positive in chosen.gamma)
     pointed = realize(build_blueprint(chosen, logic), gamma, provider, logic)
     if not satisfies(pointed.model, pointed.state, f):
         raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")

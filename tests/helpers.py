@@ -9,8 +9,10 @@ measures that the fields stored on interned formula nodes are tested
 against, and the recursive negation and conjunctive normal forms that the
 skeleton-program distribution of ``cglogic.normalform`` is tested against,
 the string-tagged clause reading whose clause and family order
-``cglogic.normalform.to_standard_disjunctions`` is held to, the model-file
-document that ``cglogic.models.save_model``'s bytes are tested against, and
+``cglogic.normalform.to_standard_disjunctions`` is held to, the name-keyed
+gamma reading that ``cglogic.normalform.sd_to_formula`` is held to, the
+model-file document that ``cglogic.models.save_model``'s bytes are tested
+against, and
 the renaming glue that ``cglogic.synth.realize``'s gluing by state offset
 is tested against, the search over every neat index set that
 ``cglogic.decide.reduction_witness``'s maximal neat sets are tested
@@ -45,7 +47,6 @@ from cglogic.models import Violation, independence_witness
 from cglogic.normalform import (
     CLAUSE_CAP,
     ClauseCapError,
-    Literal,
     StandardDisjunction,
     basic_positive_indices,
     to_standard_disjunctions,
@@ -621,7 +622,7 @@ def reference_clause_to_sd(clause, agents):
         if lit[0] == "top":
             saw_top = saw_top or lit[1]
         elif lit[0] == "atom":
-            gamma.add(Literal(lit[1], lit[2]))
+            gamma.add((Atom(lit[1]), lit[2]))
         else:
             part = (lit[1].coalition, lit[1].child)
             (pos_family if lit[2] else neg_family).append(part)
@@ -640,6 +641,24 @@ def reference_standard_disjunctions(f, agents):
     CNF above and :func:`reference_clause_to_sd`."""
     clauses = reference_cnf(reference_nnf(f), CLAUSE_CAP)
     return [reference_clause_to_sd(clause, agents) for clause in clauses]
+
+
+def reference_sd_formula(sd):
+    """``sd_to_formula(sd)`` with gamma read as name-keyed literals: each
+    atom name once, in sorted order, its positive literal before its
+    negative one, each literal read as ``Atom`` or ``Not(Atom)``."""
+    polarities = {}
+    for atom, positive in sd.gamma:
+        polarities.setdefault(atom.name, set()).add(positive)
+    gamma = big_or(
+        Atom(name) if positive else Not(Atom(name))
+        for name in sorted(polarities)
+        for positive in (True, False)
+        if positive in polarities[name]
+    )
+    antecedent = big_and(Coal(c, f) for c, f in sd.negatives)
+    consequent = big_or(Coal(c, f) for c, f in sd.positives)
+    return big_or([gamma, Implies(antecedent, consequent)])
 
 
 def reference_doc(m, pointed=None) -> dict:
@@ -684,9 +703,9 @@ def reference_glue(bp, gamma, provider):
     passing the whole table through ``Model(...)``."""
     states = [ROOT_STATE]
     actions = list(bp.base_actions)
-    atoms = {literal.atom for literal in gamma}
+    atoms = {atom.name for atom, _ in gamma}
     outcomes = {}
-    labels = {ROOT_STATE: frozenset(l.atom for l in gamma if l.positive)}
+    labels = {ROOT_STATE: frozenset(atom.name for atom, positive in gamma if positive)}
     root_entries = {}
     for profile in sorted(bp.listing):
         roots = []
@@ -723,7 +742,7 @@ def reference_reduction_witness(sd, logic, rec):
     """The witness ``decide.reduction_witness`` reports, found by trying
     every neat set covered by B_j, not only the maximal ones, for each
     consequent index j in ascending order."""
-    if any(lit.complement() in sd.gamma for lit in sd.gamma):
+    if any((atom, not positive) in sd.gamma for atom, positive in sd.gamma):
         return decide.ReductionWitness(kind="gamma")
     basics = sorted(basic_positive_indices(sd))
     neat_sets = reference_neat_subsets(sd.negatives, logic)
@@ -826,7 +845,7 @@ def reference_synthesize(f, logic, agents):
             cache[chi] = pointed
         return cache[chi]
 
-    gamma = frozenset(lit.complement() for lit in chosen.gamma)
+    gamma = frozenset((atom, not positive) for atom, positive in chosen.gamma)
     pointed = synth.realize(bp, gamma, provider, logic)
     if not satisfies(pointed.model, pointed.state, f):
         raise RealizationError(f"synthesized model does not satisfy {render(f)!r}")

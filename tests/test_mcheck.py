@@ -67,6 +67,7 @@ def test_ensures_enables():
 
 _FAR = Coal(frozenset({1}), P)  # names agent 1, which a one-agent model lacks
 _UNKNOWN_STATE = (ModelError, "unknown state 'nowhere'")
+_UNHASHABLE_STATE = (ModelError, "unknown state ['s0']")
 _MISSING_AGENT = (ValueError, "formula mentions agent 1; model has 1 agent(s)")
 _JA_LENGTH = (ValueError, "joint action must list one action per coalition member")
 _OUT_OF_RANGE = (ModelError, "coalition [1] out of range for 1 agent(s)")
@@ -79,6 +80,7 @@ _UNKNOWN_ACTION = (ModelError, "unknown action 'zz'")
 # action, then the state, then the formula).
 _BAD_CALLS = {
     "satisfies-unknown-state": (satisfies, ("nowhere", P), _UNKNOWN_STATE),
+    "satisfies-unhashable-state": (satisfies, (["s0"], P), _UNHASHABLE_STATE),
     "satisfies-missing-agent": (satisfies, ("s0", _FAR), _MISSING_AGENT),
     "satisfies-state-checked-first": (satisfies, ("nowhere", _FAR), _UNKNOWN_STATE),
 }
@@ -87,6 +89,7 @@ for _check in (enables, ensures):
     _BAD_CALLS.update({
         f"{_name}-unknown-state": (_check, ("nowhere", (), (), P), _UNKNOWN_STATE),
         f"{_name}-unknown-state-listed-profile": (_check, ("nowhere", {0}, ("a",), P), _UNKNOWN_STATE),
+        f"{_name}-unhashable-state": (_check, (["s0"], {0}, ("a",), P), _UNHASHABLE_STATE),
         f"{_name}-unknown-action": (_check, ("s0", {0}, ("zz",), P), _UNKNOWN_ACTION),
         f"{_name}-joint-action-too-long": (_check, ("s0", (), ("a",), P), _JA_LENGTH),
         f"{_name}-joint-action-too-short": (_check, ("s0", {0}, (), P), _JA_LENGTH),
@@ -207,7 +210,7 @@ def test_sat_states_releases_the_model_without_cyclic_gc():
         alive = weakref.ref(m)
         for f in (P, Not(P), Coal(frozenset({0}), P), Coal(frozenset({0, 1}), And(P, TOP))):
             sat_states(m, f)
-        assert len(m.sat_cache) == 4
+        assert len(m.mask_memo) == 4
         del m
         assert alive() is None
     finally:
@@ -256,9 +259,9 @@ def test_formulas_on_one_model_share_their_coalition_nodes(monkeypatch):
 
 def test_cached_sat_states_equal_a_fresh_evaluation():
     # A repeat query with a structurally equal formula, re-parsed into new
-    # objects, is answered from the cache, and every answer equals an
-    # evaluation on an uncached copy of the model, kept in the copy's own
-    # cache.
+    # objects, is answered from the kept mask, and every answer equals an
+    # evaluation on an uncached copy of the model, whose mask is kept in the
+    # copy's own memo.
     for seed in range(500):
         m = helpers.perturbed_model(seed)
         rng = random.Random(seed)
@@ -266,11 +269,11 @@ def test_cached_sat_states_equal_a_fresh_evaluation():
         first = [sat_states(m, f) for f in formulas]
         for f, answer in zip(reversed(formulas), reversed(first)):
             again = parse(render(f), m.agents)
-            assert again == f
-            assert sat_states(m, again) is answer
+            assert again == f and again in m.mask_memo
+            assert sat_states(m, again) == answer
             uncached = Model(m.agents, m.actions, m.states, m.outcomes, m.labels, m.atoms)
             assert answer == sat_states(uncached, f), (seed, render(f))
-            assert uncached.sat_cache == {f: answer}
+            assert uncached.names(uncached.mask_memo[f]) == answer
 
 
 def test_agent_check_survives_cached_formulas():
@@ -280,7 +283,7 @@ def test_agent_check_survives_cached_formulas():
     for _ in range(2):
         with pytest.raises(ValueError, match="agent 1"):
             sat_states(m, Coal({1}, P))
-    assert Coal({1}, P) not in m.sat_cache
+    assert Coal({1}, P) not in m.mask_memo
 
 
 def test_mask_evaluation_and_frame_checks_match_the_string_form_oracle():

@@ -35,6 +35,21 @@ def test_outcome_union_over_extensions():
     assert outcome(m, "s", {0, 1}, ("y", "y")) == frozenset()
 
 
+@pytest.mark.parametrize("state", ["nowhere", ["s0"], {"s0": 0}], ids=["unknown", "list", "dict"])
+def test_state_lookups_reject_unknown_and_unhashable_states(state):
+    m = helpers.loop_model()
+    calls = {
+        "number": lambda: m.number(state),
+        "entries": lambda: m.entries(state),
+        "available_actions": lambda: available_actions(m, state, {0}),
+        "outcome": lambda: outcome(m, state, {0}, ("a",)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ModelError) as caught:
+            call()
+        assert str(caught.value) == f"unknown state {state!r}", name
+
+
 def test_outcome_on_empty_table():
     m = helpers.empty_table_model(agents=2, actions=("x", "y"), states=("s0", "s1"))
     for c in coalitions(2):

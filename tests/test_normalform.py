@@ -7,7 +7,6 @@ from cglogic import ALL_LOGICS, normalform
 from cglogic.logics import E
 from cglogic.normalform import (
     ClauseCapError,
-    Literal,
     StandardDisjunction,
     basic_positive_indices,
     sd_to_formula,
@@ -64,7 +63,7 @@ def test_conjunction_splits():
     clauses = to_standard_disjunctions(And(P, Coal(AG2, Q)), 2)
     assert len(clauses) == 2
     first, second = clauses
-    assert first.gamma == frozenset({Literal("p")})
+    assert first.gamma == frozenset({(P, True)})
     assert first.positives == ((AG2, BOT),)
     assert second.gamma == frozenset()
     assert second.positives == ((AG2, BOT), (AG2, Q))
@@ -94,7 +93,7 @@ def test_complementary_gamma_kept():
     clauses = to_standard_disjunctions(Or(Coal({0}, P), Or(P, Not(P))), 1)
     assert len(clauses) == 1
     gamma = clauses[0].gamma
-    assert Literal("p") in gamma and Literal("p", False) in gamma
+    assert (P, True) in gamma and (P, False) in gamma
 
 
 def test_truth_literal_keeps_depth_and_equivalence():
@@ -112,7 +111,7 @@ def test_sd_to_formula_reading():
     assert sd_to_formula(sd) == expected
 
     sd2 = StandardDisjunction(
-        2, frozenset({Literal("p"), Literal("q", False)}), (), ((AG2, BOT),)
+        2, frozenset({(P, True), (Q, False)}), (), ((AG2, BOT),)
     )
     expected2 = Or(Or(P, Not(Q)), Implies(TOP, Coal(AG2, BOT)))
     assert sd_to_formula(sd2) == expected2
@@ -142,8 +141,9 @@ def test_invariant_enforcement():
         StandardDisjunction(2, frozenset(), (), ())
     with pytest.raises(ValueError, match="<>true"):
         StandardDisjunction(2, frozenset(), ((frozenset({0}), P),), ((AG2, BOT),))
-    with pytest.raises(ValueError, match="literals"):
-        StandardDisjunction(2, frozenset({P}), (), ((AG2, BOT),))
+    for bad in (P, ("p", True), (P, 1), (Not(P), True), (P, True, True)):
+        with pytest.raises(ValueError, match="only propositional literals"):
+            StandardDisjunction(2, frozenset({bad}), (), ((AG2, BOT),))
     with pytest.raises(ValueError, match="index 0"):
         StandardDisjunction(1, frozenset(), (), ((AG2, BOT),))
     with pytest.raises(ValueError, match="out of range"):
@@ -239,3 +239,16 @@ def test_clause_order_matches_string_tagged_reading():
         assert to_standard_disjunctions(f, 2) == expected, render(f)
         saw_top += any((EMPTY, TOP) in sd.positives for sd in expected)
     assert saw_top > 100
+
+
+def test_gamma_reads_as_name_keyed_literals():
+    # gamma is a set of (Atom, polarity) pairs, iterated in hash order; its
+    # reading sorts the literals by atom name, positive first, as the
+    # name-keyed literals did.
+    several = 0
+    for f in filter(lambda f: modal_depth(f) >= 1, _reference_formulas()):
+        for sd in to_standard_disjunctions(f, 2):
+            expected = render(helpers.reference_sd_formula(sd))
+            assert render(sd_to_formula(sd)) == expected, render(f)
+            several += len(sd.gamma) >= 2
+    assert several > 2000

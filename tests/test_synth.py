@@ -13,7 +13,7 @@ from cglogic.decide import is_neat, is_satisfiable, validity_oracle
 from cglogic.logics import D, E, I, LogicId, S, SD, SID
 from cglogic.mcheck import ensures, satisfies
 from cglogic.models import Model, available_actions, coalitions, save_model, validate_model
-from cglogic.normalform import Literal, StandardDisjunction, to_standard_disjunctions
+from cglogic.normalform import StandardDisjunction, to_standard_disjunctions
 from cglogic.synth import (
     Blueprint,
     RealizationError,
@@ -211,7 +211,7 @@ def test_check_regular():
 
 def test_realize_degenerate():
     empty = Blueprint(1, ("n0",), {})
-    pointed = realize(empty, frozenset({Literal("p")}), None, E)
+    pointed = realize(empty, frozenset({(P, True)}), None, E)
     m = pointed.model
     assert m.states == (pointed.state,)
     assert m.labels[pointed.state] == {"p"}
@@ -236,8 +236,11 @@ def test_realize_single_submodel():
 
 def test_realize_rejects_bad_gamma():
     empty = Blueprint(1, ("n0",), {})
-    with pytest.raises(ValueError, match="complementary"):
-        realize(empty, frozenset({Literal("p"), Literal("p", False)}), None, E)
+    with pytest.raises(ValueError, match="^gamma contains complementary pair on 'p'$"):
+        realize(empty, frozenset({(P, True), (P, False)}), None, E)
+    for bad in (P, ("p", True), (P, "yes")):
+        with pytest.raises(ValueError, match="only propositional literals"):
+            realize(empty, frozenset({bad}), None, E)
 
 
 def test_realize_availability_matches_performable():
@@ -306,6 +309,16 @@ def test_verify_realization_rejects_a_broken_glue(breach, message):
     tampered = Model(m.agents, m.actions, m.states, outcomes, labels, m.atoms)
     with pytest.raises(RealizationError, match=re.escape(message)):
         _verify_realization(tampered, bp, frozenset(), witnesses, E)
+
+
+def test_verify_realization_rejects_a_root_literal_it_lacks():
+    # The root is labeled p only, so ~p and q are literals it lacks.
+    empty = Blueprint(1, ("n0",), {})
+    m = realize(empty, frozenset({(P, True)}), None, E).model
+    _verify_realization(m, empty, frozenset({(P, True), (Q, False)}), [], E)
+    for literal, text in (((P, False), "~p"), ((Q, True), "q")):
+        with pytest.raises(RealizationError, match=f"^root does not satisfy literal '{text}'$"):
+            _verify_realization(m, empty, frozenset({literal}), [], E)
 
 
 def test_verification_evaluates_each_listed_formula_once(monkeypatch):
