@@ -19,8 +19,7 @@ A model is built by one of three routes, and ``Model._adopt`` is the one
 place that sets the index form for all of them:
 
 - the ``Model(...)`` constructor runs the validating pass over its nested
-  outcome table, flattened into entries, and :func:`load_model` over the
-  model file's entries as they are decoded;
+  outcome table, and :func:`load_model` over the model file's entry list;
 - :func:`cglogic.synth.realize` glues validated models by state offset and
   hands over the finished index form; only the names are checked again.
 
@@ -35,12 +34,16 @@ A model file is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
 document that :func:`save_model` describes.  :func:`save_model` writes that
 layout directly from the index form rather than through ``json.dumps``,
 whose ``indent`` option bypasses the C encoder; the tests hold the two to
-the same bytes.
+the same bytes.  :func:`load_model` reads each entry of the decoded file
+once, with the cyclic collector paused while it decodes and indexes: the
+decoded tree has no cycles, so reference counting frees it, and the switch,
+though process-wide, is off for at most one load.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -165,6 +168,47 @@ def _check_names(agents, states: tuple, actions: tuple) -> tuple[dict[str, int],
     return index, action_set
 
 
+def _number_profile(numbers: dict, profile: tuple, state, agents: int, action_set) -> int:
+    """Number a profile at its first occurrence, after checking that it lists
+    one known action per agent."""
+    if len(profile) != agents:
+        raise ModelError(f"profile {profile!r} at state {state!r} must list one action per agent")
+    for action in profile:
+        if not _known(action, action_set):
+            raise ModelError(f"unknown action {action!r} at state {state!r}")
+    number = numbers[profile] = len(numbers)
+    return number
+
+
+def _targets_mask(targets, bit: dict, state) -> int:
+    """The mask of a profile's outcome states; an unknown or unhashable one
+    is a ModelError."""
+    mask = 0
+    try:
+        for target in targets:
+            mask |= bit[target]
+    except (KeyError, TypeError):
+        target = next(t for t in targets if not _known(t, bit))
+        raise ModelError(f"unknown outcome state {target!r} at state {state!r}") from None
+    return mask
+
+
+def _table_entries(outcomes, row_of, bit, numbers, agents, action_set) -> None:
+    """Read the constructor's table, state -> profile -> outcome states, into
+    the rows.  A profile is checked when it first occurs; later occurrences
+    are one dictionary lookup."""
+    for state, table in outcomes.items():
+        row = row_of.get(state)
+        if row is None:
+            raise ModelError(f"outcome entry for unknown state {state!r}")
+        for profile, targets in table.items():
+            try:
+                number = numbers[profile]
+            except (KeyError, TypeError):
+                number = _number_profile(numbers, profile, state, agents, action_set)
+            row[number] = _targets_mask(targets, bit, state)
+
+
 class Model:
     """Finite general concurrent game model.
 
@@ -195,56 +239,19 @@ class Model:
     __hash__ = None
 
     def __init__(self, agents, actions, states, outcomes, labels, atoms=()):
-        entries = ((s, p, targets) for s, row in outcomes.items() for p, targets in row.items())
-        self._index(agents, actions, states, entries, labels.items(), atoms)
-        if not self.index.keys() >= outcomes.keys():
-            state = next(s for s in outcomes if s not in self.index)
-            raise ModelError(f"outcome entry for unknown state {state!r}")
+        self._index(agents, actions, states, _table_entries, outcomes, labels.items(), atoms)
 
-    def _index(self, agents, actions, states, entries, labels, atoms) -> None:
-        """The one validating pass that builds the index form.
-
-        A profile is checked when it first occurs; later occurrences are one
-        dictionary lookup.  A (state, profile) pair may occur once, even with
-        an empty outcome set.
-        """
+    def _index(self, agents, actions, states, read, outcomes, labels, atoms) -> None:
+        """The one validating pass that builds the index form; ``read``
+        (:func:`_table_entries` or :func:`_file_entries`) fills the rows."""
         states = tuple(states)
         actions = tuple(actions)
         index, action_set = _check_names(agents, states, actions)
         bit = {state: 1 << i for i, state in enumerate(states)}
-
         numbers: dict[tuple[str, ...], int] = {}
         rows: list[dict[int, int]] = [{} for _ in states]
-        row_of = dict(zip(states, rows))
-        emptied = False
-        for state, profile, targets in entries:
-            row = row_of.get(state)
-            if row is None:
-                raise ModelError(f"outcome entry for unknown state {state!r}")
-            try:
-                number = numbers[profile]
-            except (KeyError, TypeError):
-                if len(profile) != agents:
-                    raise ModelError(
-                        f"profile {profile!r} at state {state!r} must list one action per agent"
-                    ) from None
-                for action in profile:
-                    if not _known(action, action_set):
-                        raise ModelError(f"unknown action {action!r} at state {state!r}") from None
-                number = numbers[profile] = len(numbers)
-            if number in row:
-                raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
-            mask = 0
-            try:
-                for target in targets:
-                    mask |= bit[target]
-            except (KeyError, TypeError):
-                target = next(t for t in targets if not _known(t, bit))
-                raise ModelError(f"unknown outcome state {target!r} at state {state!r}") from None
-            row[number] = mask
-            if not mask:
-                emptied = True
-        if emptied:
+        read(outcomes, dict(zip(states, rows)), bit, numbers, agents, action_set)
+        if any(0 in row.values() for row in rows):  # empty outcome sets are dropped
             rows = [{number: mask for number, mask in row.items() if mask} for row in rows]
 
         label_masks: dict[str, int] = {}
@@ -382,10 +389,17 @@ class PointedModel:
 
 
 def _check_coalition(m: Model, coalition) -> frozenset[int]:
-    coalition = frozenset(coalition)
-    if not all(0 <= a < m.agents for a in coalition):
-        raise ModelError(f"coalition {sorted(coalition)} out of range for {m.agents} agent(s)")
-    return coalition
+    """The coalition as a frozenset of agent numbers in range; members that
+    are not ints (a bool is not an agent) or are unhashable are refused."""
+    try:
+        members = frozenset(coalition)
+    except TypeError:
+        members = None
+    if members is None or not all(type(a) is int for a in members):
+        raise ModelError(f"coalition {coalition!r} must be a set of agent numbers (ints)")
+    if not all(0 <= a < m.agents for a in members):
+        raise ModelError(f"coalition {sorted(members)} out of range for {m.agents} agent(s)")
+    return members
 
 
 def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[str]:
@@ -397,14 +411,17 @@ def outcome_mask(m: Model, state: str, coalition, ja: tuple[str, ...]) -> int:
     """:func:`outcome` as a mask of states, with the same checks and errors:
     the coalition, then the joint action's length and actions, then the
     state.  The grand coalition's outcome is one row lookup; for a listed
-    profile it skips the checks, which the model's construction made."""
+    profile it skips the joint action's checks, which the model's
+    construction made, and for the model's own grand coalition
+    (:meth:`Model.full_coalition`) also the coalition's."""
+    if coalition is not m._grand:
+        coalition = _check_coalition(m, coalition)
     try:
-        number = m.profile_numbers.get(ja) if coalition == m._grand else None
+        number = m.profile_numbers.get(ja) if len(coalition) == m.agents else None
     except TypeError:  # an unhashable joint action, such as a list
         number = None
     if number is not None:
         return m.rows[m.number(state)].get(number, 0)
-    coalition = _check_coalition(m, coalition)
     ja = tuple(ja)
     if len(ja) != len(coalition):
         raise ValueError("joint action must list one action per coalition member")
@@ -630,10 +647,12 @@ def _doc_names(doc: dict, key: str) -> list[str]:
     return names
 
 
-def _doc_entries(outcomes: list):
-    """The file's outcome entries as (state, profile tuple, outcome states),
-    each checked for its JSON shape; names are checked by the model's
-    validating pass."""
+def _file_entries(outcomes: list, row_of, bit, numbers, agents, action_set) -> None:
+    """:func:`_table_entries` for a model file's entry list, each entry's JSON
+    shape checked first.  Consecutive entries of one state, as
+    :func:`save_model` writes them, share one row lookup.  A (state, profile)
+    pair may occur once, even with an empty outcome set."""
+    last = None
     for entry in outcomes:
         try:
             state, profile, targets = entry["state"], entry["profile"], entry["to"]
@@ -641,7 +660,23 @@ def _doc_entries(outcomes: list):
             raise ModelError(f"bad outcome entry {entry!r}") from exc
         if type(state) is not str or type(profile) is not list or type(targets) is not list:
             raise ModelError(f"bad outcome entry {entry!r}")
-        yield state, tuple(profile), targets
+        if state != last:
+            row = row_of.get(state)
+            if row is None:
+                raise ModelError(f"outcome entry for unknown state {state!r}")
+            last = state
+        profile = tuple(profile)
+        try:
+            number = numbers[profile]
+        except (KeyError, TypeError):
+            number = _number_profile(numbers, profile, state, agents, action_set)
+        if number in row:
+            raise ModelError(f"duplicate outcome key ({state!r}, {list(profile)})")
+        try:
+            mask = bit[targets[0]] if len(targets) == 1 else _targets_mask(targets, bit, state)
+        except (KeyError, TypeError):  # the one target is unknown or unhashable
+            mask = _targets_mask(targets, bit, state)
+        row[number] = mask
 
 
 def _doc_labels(labels: dict, declared: set[str]):
@@ -676,9 +711,8 @@ def _model_from_doc(doc) -> tuple[Model, str | None]:
     if type(outcomes) is not list:
         raise ModelError("'outcomes' must be a list of entries")
     model = Model.__new__(Model)
-    model._index(
-        agents, actions, states, _doc_entries(outcomes), _doc_labels(labels, set(atoms)), atoms
-    )
+    labels = _doc_labels(labels, set(atoms))
+    model._index(agents, actions, states, _file_entries, outcomes, labels, atoms)
     pointed = doc.get("pointed")
     if pointed is not None and not (type(pointed) is str and pointed in model.index):
         raise ModelError(f"pointed state {pointed!r} not in model")
@@ -686,13 +720,19 @@ def _model_from_doc(doc) -> tuple[Model, str | None]:
 
 
 def _read_model_file(path) -> tuple[Model, str | None]:
+    """Decode and index the file with the cyclic collector paused (see the
+    module docstring), then restore it as it was, also after an error."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _model_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ModelError("model file nested too deeply to decode") from exc
-    return _model_from_doc(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_model(m: Model, path, pointed: str | None = None) -> None:

@@ -13,6 +13,7 @@ from cglogic import (
     enables,
     ensures,
     frame_properties,
+    outcome,
     sat_states,
     satisfies,
     valid_on_model,
@@ -99,12 +100,39 @@ for _check in (enables, ensures):
     })
 
 
+# Coalitions whose members are not agent numbers: a string, an unhashable
+# list, and a bool, which Python would count as the int 1.
+for _name, _coalition in {"str": {"0"}, "unhashable": [[0]], "bool": [True]}.items():
+    _error = (ModelError, f"coalition {_coalition!r} must be a set of agent numbers (ints)")
+    _BAD_CALLS.update({
+        f"available_actions-{_name}-member": (available_actions, ("s0", _coalition), _error),
+        f"outcome-{_name}-member": (outcome, ("s0", _coalition, ("a",)), _error),
+        f"enables-{_name}-member": (enables, ("s0", _coalition, ("a",), P), _error),
+        f"ensures-{_name}-member": (ensures, ("s0", _coalition, ("a",), P), _error),
+    })
+
+
 @pytest.mark.parametrize("check,args,error", _BAD_CALLS.values(), ids=_BAD_CALLS.keys())
 def test_checks_raise_the_documented_errors(check, args, error):
     kind, message = error
     with pytest.raises(ValueError) as caught:
         check(helpers.loop_model(), *args)
     assert type(caught.value) is kind and str(caught.value) == message
+
+
+def test_a_bool_is_not_an_agent():
+    # True == 1, so at two agents [True] once passed as agent 1.
+    fork = helpers.two_agent_fork()
+    for call in (
+        lambda c: available_actions(fork, "s", c),
+        lambda c: outcome(fork, "s", c, ("x",)),
+        lambda c: enables(fork, "s", c, ("x",), P),
+    ):
+        assert call([1]) == call({1})
+        with pytest.raises(ModelError, match="must be a set of agent numbers"):
+            call([True])
+        with pytest.raises(ModelError, match="must be a set of agent numbers"):
+            call({0, True})
 
 
 def test_checks_on_an_empty_outcome_skip_the_formula():

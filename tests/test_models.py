@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -443,6 +444,26 @@ ONE_STATE = '{"agents": 1, "actions": ["a"], "states": ["s0"], '
             ' "outcomes": [{"state": 0, "profile": ["a"], "to": ["s0"]}]}',
             "bad outcome entry",
         ),
+        # the second of two targets, a one-element "to" that cannot be a
+        # dictionary key, and a state after a run of entries of known ones
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": ["a"], "to": ["s0", "s9"]}]}',
+            re.escape("unknown outcome state 's9' at state 's0'"),
+        ),
+        (
+            '{"agents": 1, "actions": ["a"], "states": ["s0"],'
+            ' "outcomes": [{"state": "s0", "profile": ["a"], "to": [{"s0": 1}]}]}',
+            re.escape("unknown outcome state {'s0': 1} at state 's0'"),
+        ),
+        (
+            '{"agents": 1, "actions": ["a", "b"], "states": ["s0", "s1"],'
+            ' "outcomes": [{"state": "s0", "profile": ["a"], "to": ["s1"]},'
+            ' {"state": "s0", "profile": ["b"], "to": ["s0", "s1"]},'
+            ' {"state": "s1", "profile": ["a"], "to": ["s0"]},'
+            ' {"state": "s2", "profile": ["a"], "to": ["s0"]}]}',
+            "outcome entry for unknown state 's2'",
+        ),
     ],
 )
 def test_load_errors(tmp_path, doc, message):
@@ -450,6 +471,56 @@ def test_load_errors(tmp_path, doc, message):
     path.write_text(doc)
     with pytest.raises(ModelError, match=message):
         load_model(path)
+
+
+def test_interleaved_entries_load_the_constructed_model(tmp_path):
+    # save_model groups entries by state; a file may interleave them, and a
+    # state's entries may come back after another state's.
+    m = helpers.two_agent_fork()
+    doc = helpers.reference_doc(m)
+    doc["outcomes"] = sorted(doc["outcomes"], key=lambda e: (e["profile"], e["state"]))
+    assert [e["state"] for e in doc["outcomes"][:3]] == ["s", "t", "u"]
+    path = tmp_path / "interleaved.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path) == m
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_load_restores_the_cyclic_collector(tmp_path, was_enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_model(helpers.two_agent_fork(), good)
+    bad.write_text(ONE_STATE + '"outcomes": 4}')
+    enabled = gc.isenabled()
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        load_model(good)
+        assert gc.isenabled() is was_enabled
+        with pytest.raises(ModelError):
+            load_model(bad)
+        assert gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_load_runs_no_cyclic_collection(tmp_path):
+    # Decoding a 500-state file allocates enough containers to set the
+    # collector off dozens of times (28 for this file without the pause).
+    path = tmp_path / "large.json"
+    save_model(random_model(RandomModelConfig(500, 3, 3, 2), E, 5), path)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        model = load_model(path)
+        fired = len(starts)
+    finally:
+        gc.callbacks.remove(record)
+    assert fired == 0 and len(model.states) == 500
 
 
 def test_empty_to_equivalent_to_omission(tmp_path):
