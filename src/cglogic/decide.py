@@ -181,9 +181,9 @@ def reduction_witness(sd: StandardDisjunction, logic: LogicId, rec) -> Reduction
 
 def check_agents(f: Formula, agents: int) -> None:
     """Reject too few or too many agents, or a formula naming an agent it lacks."""
+    check_count(agents, "agent")
     if agents < 1:
         raise ValueError("agents must be >= 1")
-    check_count(agents, "agent")
     worst = max_agent(f)
     if worst >= agents:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")

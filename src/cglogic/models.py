@@ -82,9 +82,13 @@ def check_profile_count(sizes, what: str) -> None:
 
 
 def check_count(count: int, noun: str) -> None:
-    """Raise :class:`ProfileCapError` for more agents, states or actions
-    (``noun``) than :data:`PROFILE_CAP`, before anything is built for them: a
-    single profile would be that long, or their names alone take gigabytes."""
+    """Raise ValueError for a count of agents, states or actions (``noun``)
+    that is not an int (a bool is not a count), before it is compared with
+    anything, and :class:`ProfileCapError` for more than :data:`PROFILE_CAP`,
+    before anything is built for them: a single profile would be that long,
+    or their names alone take gigabytes."""
+    if type(count) is not int:
+        raise ValueError(f"{noun} count {count!r} must be an int")
     if count > PROFILE_CAP:
         cap = f"the {noun} cap ({PROFILE_CAP}, the profile cap)"
         raise ProfileCapError(f"{count} {noun}s exceed {cap}")
@@ -786,11 +790,11 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
     """
     import random as _random
 
-    if min(cfg.num_states, cfg.num_actions, cfg.agents, cfg.branching) < 1:
-        raise ValueError("all RandomModelConfig bounds must be >= 1")
     check_count(cfg.agents, "agent")
     check_count(cfg.num_states, "state")
     check_count(cfg.num_actions, "action")
+    if min(cfg.num_states, cfg.num_actions, cfg.agents, cfg.branching) < 1:
+        raise ValueError("all RandomModelConfig bounds must be >= 1")
     rng = _random.Random(seed)
     states = [f"s{i}" for i in range(cfg.num_states)]
     actions = [f"a{i}" for i in range(cfg.num_actions)]

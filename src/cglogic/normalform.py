@@ -89,14 +89,9 @@ def check_literals(gamma) -> None:
             raise ValueError(f"gamma may hold only propositional literals, got {literal!r}")
 
 
-def _dedupe(items):
-    seen = set()
-    kept = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            kept.append(item)
-    return kept
+def _dedupe(items) -> list:
+    """items without repeats, each at its first place."""
+    return list(dict.fromkeys(items))
 
 
 def _cnf(f: Formula, cap: int) -> list[frozenset]:
@@ -141,9 +136,9 @@ def _cnf(f: Formula, cap: int) -> list[frozenset]:
     return built[2 * root]
 
 
-def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
-    ag = frozenset(range(agents))
-    gamma = set()
+def _clause_to_sd(clause, agents: int, pinned) -> StandardDisjunction:
+    """The clause of a CNF clause; ``pinned`` is ``(AG, false)``."""
+    gamma = []
     neg_family: list[tuple[frozenset[int], Formula]] = []
     pos_family: list[tuple[frozenset[int], Formula]] = []
     modal = []
@@ -155,22 +150,29 @@ def _clause_to_sd(clause, agents: int) -> StandardDisjunction:
             # a tautology without losing its other (depth-carrying) members.
             saw_top = saw_top or positive
         elif type(leaf) is Atom:
-            gamma.add((leaf, positive))
+            gamma.append((leaf, positive))
         else:
             modal.append((leaf, positive))
     # Clause literals are (leaf, polarity) pairs in a set; only the <C>
     # leaves' order reaches the families, so only they are sorted, by
-    # rendering.  A leaf's two polarities tie but go to different families.
-    for leaf, positive in sorted(modal, key=lambda lit: render(lit[0])):
+    # rendering, and only when there are two or more.  A leaf's two
+    # polarities tie but go to different families.
+    if len(modal) > 1:
+        modal.sort(key=lambda lit: render(lit[0]))
+    for leaf, positive in modal:
         (pos_family if positive else neg_family).append((leaf.coalition, leaf.child))
     if saw_top:
         neg_family.insert(0, _EMPTY_TOP)
         pos_family.insert(0, _EMPTY_TOP)
-    positives = [(ag, BOT)] + [p for p in _dedupe(pos_family) if p != (ag, BOT)]
-    negatives = []
+    positives = (pinned, *[p for p in _dedupe(pos_family) if p != pinned])
+    negatives = ()
     if neg_family:
-        negatives = [_EMPTY_TOP] + [n for n in _dedupe(neg_family) if n != _EMPTY_TOP]
-    return StandardDisjunction(agents, frozenset(gamma), tuple(negatives), tuple(positives))
+        negatives = (_EMPTY_TOP, *[n for n in _dedupe(neg_family) if n != _EMPTY_TOP])
+    # The fields already have the form and invariants that __post_init__
+    # enforces, but for a coalition out of range, which the caller checks.
+    sd = object.__new__(StandardDisjunction)
+    sd.__dict__.update(agents=agents, gamma=frozenset(gamma), negatives=negatives, positives=positives)
+    return sd
 
 
 def to_standard_disjunctions(f: Formula, agents: int) -> list[StandardDisjunction]:
@@ -178,12 +180,19 @@ def to_standard_disjunctions(f: Formula, agents: int) -> list[StandardDisjunctio
 
     Requires modal depth >= 1; depth-0 formulas are purely propositional and
     are decided directly by the caller.  Clauses whose gamma contains
-    complementary literals are kept.
+    complementary literals are kept.  A clause with a coalition out of range
+    for ``agents`` raises ValueError, as its constructor does.
     """
     if modal_depth(f) < 1:
         raise ValueError("normal form needs modal depth >= 1; decide depth-0 input propositionally")
-    clauses = _cnf(f, CLAUSE_CAP)
-    return [_clause_to_sd(clause, agents) for clause in clauses]
+    pinned = (frozenset(range(agents)), BOT)
+    clauses = [_clause_to_sd(clause, agents, pinned) for clause in _cnf(f, CLAUSE_CAP)]
+    if f.agent_bound >= agents:
+        # Only then can a family hold a coalition out of range; the
+        # constructor's checks find and report the first one.
+        for sd in clauses:
+            StandardDisjunction(sd.agents, sd.gamma, sd.negatives, sd.positives)
+    return clauses
 
 
 def sd_to_formula(sd: StandardDisjunction) -> Formula:

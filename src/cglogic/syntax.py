@@ -9,6 +9,8 @@ Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): every construction goes through one intern table, so
 structurally equal formulas are the same object and ``==`` is identity.  The
 table holds nodes weakly and forgets a node once nothing else refers to it.
+It takes no lock: a new node is entered by one atomic ``setdefault`` of its
+weak entry, so threads that build the same formula at once agree on one node.
 A node is immutable and stores, from its construction, its hash (computed
 from its children's stored hashes), its modal depth (``depth``) and its agent
 bound (``agent_bound``: the largest agent index in any coalition, -1 when
@@ -21,16 +23,15 @@ round trips return the interned node.
 node.  The truth table, the normal form, model checking and :func:`atoms_of`
 all run it, and reach below a ``<C>`` leaf only by running its child's.
 
-:func:`parse` is one loop over the tokens with an explicit stack.  Binary
-connectives are a table of levels, reduced as in shunting-yard, and each
-open parenthesis is a frame, so no nesting is bounded by the recursion limit.
+:func:`parse` reads the tokens of one ``finditer`` scan in one loop with an
+explicit stack.  Binary connectives are a table of levels, reduced as in
+shunting-yard, and each open parenthesis is a frame, so no nesting is
+bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 
@@ -96,12 +97,12 @@ class _Gone:
 # constructor's name and fields, children by id; a child's id stays valid
 # while the node holding it is alive, and the entry goes when that node
 # does.  ``_TABLE.get(key, _MISSING)()`` is the node or None: _MISSING is a
-# dead reference, like the entry of a dropped node.  Look-ups need no lock,
-# because only complete nodes are entered; entering takes ``_LOCK``, which is
-# reentrant because a finalizer that runs meanwhile may build formulas.
+# dead reference, like the entry of a dropped node.  There is no lock: only
+# complete nodes are entered, and each entering is one atomic
+# ``_TABLE.setdefault(key, entry)``, whose argument is the new node's entry,
+# so threads that race on one key all get the node of the entry it returns.
 _TABLE: dict[tuple, _Entry] = {}
 _MISSING = weakref.ref(_Gone())
-_LOCK = threading.RLock()
 
 
 def _node(cls, depth: int, agent_bound: int, hash_value: int):
@@ -117,13 +118,18 @@ def _node(cls, depth: int, agent_bound: int, hash_value: int):
 def _intern(key: tuple, node):
     """Enter the new node under key, or return the node another thread
     entered there first."""
-    with _LOCK:
-        found = _TABLE.get(key, _MISSING)()
-        if found is not None:
-            return found
-        entry = _TABLE[key] = _Entry(node, _forget)
-        entry.key = key
-    return node
+    entry = _Entry(node, _forget)
+    entry.key = key
+    while True:
+        found = _TABLE.setdefault(key, entry)
+        if found is entry:
+            return node
+        live = found()
+        if live is not None:
+            return live
+        # A dead entry whose callback has not yet run: remove it, unless
+        # another thread has already replaced it, and try again.
+        _remove_dead_weakref(_TABLE, key)
 
 
 def _not_a_formula(*values) -> TypeError:
@@ -288,27 +294,34 @@ def skeleton(f: Formula):
         raise TypeError(f"not a formula: {f!r}")
     if f._skeleton is not None:
         return f._skeleton
-    order = []  # distinct Not and And nodes, children before parents
+    # slot: id -> slot number of TOP and each leaf, and, once numbered, of
+    # each Not and And node, which the walk first marks with None.
+    slot = {id(TOP): 0}
     leaves = []
-    seen = {id(TOP)}
+    order = []  # distinct Not and And nodes, children before parents
     stack = [f]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node,): its children are done
-            order.append(node[0])
-        elif id(node) not in seen:
-            seen.add(id(node))
-            kind = type(node)
-            if kind is Not:
-                stack += ((node,), node.child)
-            elif kind is And:
-                stack += ((node,), node.right, node.left)
-            else:
-                leaves.append(node)
-    slot = {id(node): i for i, node in enumerate((TOP, *leaves))}
+        node = pop()
+        if node is None:  # the node under the marker has its children done
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in slot:
+            continue
+        kind = type(node)
+        if kind is Not:
+            slot[key] = None
+            push((node, None, node.child))
+        elif kind is And:
+            slot[key] = None
+            push((node, None, node.right, node.left))
+        else:
+            leaves.append(node)
+            slot[key] = len(leaves)
     steps = []
-    for node in order:
-        slot[id(node)] = len(slot)
+    for number, node in enumerate(order, len(leaves) + 1):
+        slot[id(node)] = number
         if type(node) is Not:
             steps.append((slot[id(node.child)], -1))
         else:
@@ -337,32 +350,39 @@ def max_agent(f: Formula) -> int:
 
 _KEYWORDS = {"true", "false"}
 
+# Leading white space is part of each match, and every other character
+# starts one (``bad`` catches the rest), so the matches of one scan cover the
+# text up to any trailing white space.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<punct>[~&|<>\[\](),*])
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    \s*
+    (?:
+      (?P<arrow>->)
+    | (?P<punct>[~&|<>\[\](),*])
+    | (?P<num>\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of text, then ``("eof", "", len)``.
+
+    One ``finditer`` scan; white space separates tokens and is dropped.  The
+    first character no token starts with raises ParseError at its position.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        if kind != "ws":
-            if kind == "ident" and value in _KEYWORDS:
-                kind = value
-            tokens.append((kind, value, pos))
-        pos = match.end()
+        value = match[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", match.start(kind))
+        if kind == "ident" and value in _KEYWORDS:
+            kind = value
+        tokens.append((kind, value, match.end() - len(value)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -407,17 +427,20 @@ def parse(text: str, agents: int) -> Formula:
 
     ``[C] f`` desugars to ``~<C>~f``, ``false`` to ``~true`` and ``<*>`` to
     the full coalition.  Raises ParseError with a position on bad input or
-    on an agent index that is out of range, and ProfileCapError on too many agents.
+    on an agent index that is out of range, ValueError when ``agents`` is not
+    an int or is below 1, and ProfileCapError on too many agents.
 
     One loop reads the tokens.  An operand is a chain of prefixes (``~``,
-    ``<C>``, ``[C]``) and then a constant, an atom or ``(``.  Each ``(``
-    pushes a frame of the prefixes waiting for it and the enclosing level's
-    operands and pending connectives; its ``)`` pops the frame once the
-    level is reduced.
+    ``<C>``, ``[C]``) and then a constant, an atom or ``(``.  A prefix is
+    kept as None for ``~`` and as its coalition for ``<C>``; ``[C]`` is kept
+    as ``~<C>~``, the three prefixes it desugars to.  Each ``(`` pushes a
+    frame of the prefixes waiting for it and the enclosing level's operands
+    and pending connectives; its ``)`` pops the frame once the level is
+    reduced.
     """
+    check_count(agents, "agent")
     if agents < 1:
         raise ValueError("agents must be >= 1")
-    check_count(agents, "agent")
     tokens = _tokenize(text)
     frames = []  # (prefixes, operands, pending) of each enclosing level
     operands, pending = [], []
@@ -428,10 +451,10 @@ def parse(text: str, agents: int) -> Formula:
             kind, value, pos = tokens[i]
             i += 1
             if value == "~":
-                prefixes.append(Not)
+                prefixes.append(None)
             elif value == "<" or value == "[":
                 coalition, i = _coalition(tokens, i, value, agents)
-                prefixes.append(functools.partial(Coal if value == "<" else Box, coalition))
+                prefixes += (coalition,) if value == "<" else (None, coalition, None)
             elif value == "(":
                 frames.append((prefixes, operands, pending))
                 prefixes, operands, pending = [], [], []
@@ -446,8 +469,8 @@ def parse(text: str, agents: int) -> Formula:
         else:
             raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
         while True:
-            for wrap in reversed(prefixes):
-                result = wrap(result)
+            for coalition in reversed(prefixes):
+                result = Not(result) if coalition is None else Coal(coalition, result)
             operands.append(result)
             kind, value, pos = tokens[i]
             i += 1

@@ -3,8 +3,9 @@ exhaustive small-model enumeration used as a brute-force satisfiability oracle,
 the exhaustive frame-property checkers that the characterisations in
 ``cglogic.models`` are tested against, and the string-form evaluator and frame
 checks that the mask-based ones in ``cglogic.mcheck`` and ``cglogic.models``
-are tested against, the recursive-descent parser that
-``cglogic.syntax.parse``'s loop is tested against, the recursive structural
+are tested against, the per-position tokenizer and the recursive-descent
+parser that ``cglogic.syntax``'s one-scan tokenizer and ``parse``'s loop
+are tested against, the recursive structural
 measures that the fields stored on interned formula nodes are tested
 against, and the recursive negation and conjunctive normal forms that the
 skeleton-program distribution of ``cglogic.normalform`` is tested against,
@@ -64,7 +65,6 @@ from cglogic.syntax import (
     Or,
     ParseError,
     Top,
-    _tokenize,
     big_and,
     big_or,
     modal_depth,
@@ -380,9 +380,42 @@ def perturbed_blueprint(seed, formulas):
 ALL = ALL_LOGICS
 
 
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<arrow>->)
+  | (?P<punct>[~&|<>\[\](),*])
+  | (?P<num>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """One ``match`` per position, white space as its own token kind: the
+    tokenizer that ``syntax._tokenize``'s one scan replaced, with the same
+    tokens, error texts and positions."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup
+        value = match.group()
+        if kind != "ws":
+            if kind == "ident" and value in ("true", "false"):
+                kind = value
+            tokens.append((kind, value, pos))
+        pos = match.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
 class _ReferenceParser:
     def __init__(self, text: str, agents: int):
-        self.tokens = _tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.agents = agents
         self.index = 0
 

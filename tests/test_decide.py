@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from cglogic.decide import (
 )
 from cglogic.logics import D, E, I, ID, LogicId, S, SD, SI, SID
 from cglogic.mcheck import satisfies, valid_on_model
-from cglogic.models import validate_model
+from cglogic.models import RandomModelConfig, random_model, validate_model
 from cglogic.normalform import StandardDisjunction, to_standard_disjunctions
 from cglogic.synth import synthesize
 from cglogic.syntax import (
@@ -224,6 +225,30 @@ def test_agent_mismatch_and_bad_args():
         is_valid(Coal({3}, P), E, 2)
     with pytest.raises(ValueError):
         is_valid(P, E, 0)
+
+
+_F2 = Coal({0}, P)
+
+
+@pytest.mark.parametrize("agents", [True, False, 2.0, "2", None, [2]])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: parse("<1> p", n),
+        lambda n: is_valid(_F2, E, n),
+        lambda n: is_satisfiable(_F2, SID, n),
+        lambda n: explain(_F2, E, n),
+        lambda n: validity_oracle(E, n)(_F2),
+        lambda n: synthesize(_F2, E, n),
+        lambda n: random_model(RandomModelConfig(agents=n), E, 0),
+    ],
+    ids=["parse", "is_valid", "is_satisfiable", "explain", "oracle", "synthesize", "random_model"],
+)
+def test_agent_count_must_be_an_int(call, agents):
+    # A bool is not an agent count; every entry refuses a count that is not
+    # an int with a ValueError before comparing it with anything.
+    with pytest.raises(ValueError, match=rf"^agent count {re.escape(repr(agents))} must be an int$"):
+        call(agents)
 
 
 def test_deterministic_results():

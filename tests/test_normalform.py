@@ -252,3 +252,42 @@ def test_gamma_reads_as_name_keyed_literals():
             assert render(sd_to_formula(sd)) == expected, render(f)
             several += len(sd.gamma) >= 2
     assert several > 2000
+
+
+def _fan(k):
+    # <0>x0 & <1>x1 & <2>x2 & <0>x3 & ... -> <0,1,2>(x0 & ... & x{k-1})
+    xs = [Atom(f"x{i}") for i in range(k)]
+    return Implies(big_and(Coal({i % 3}, x) for i, x in enumerate(xs)), Coal({0, 1, 2}, big_and(xs)))
+
+
+def test_built_clauses_equal_checked_clauses_in_render_order():
+    # Clauses are built without the constructor's checks: each must equal
+    # the clause the constructor makes from its fields, and each family,
+    # apart from its pinned members, must list its <C> literals in the order
+    # of their rendering.
+    rng = random.Random(2209)
+    cases = [(_fan(k), 3) for k in range(2, 12)]
+    for agents in (1, 2, 3):
+        while len(cases) < 10 + 300 * agents:
+            f = random_formula(rng, rng.randint(1, 3), agents, ("p", "q", "r"), size=16)
+            if modal_depth(f) >= 1:
+                cases.append((f, agents))
+    ordered = 0
+    for f, agents in cases:
+        pinned = {(frozenset(range(agents)), BOT), (EMPTY, TOP)}
+        for sd in to_standard_disjunctions(f, agents):
+            assert sd == StandardDisjunction(sd.agents, sd.gamma, sd.negatives, sd.positives)
+            for family in (sd.negatives, sd.positives):
+                texts = [render(Coal(c, g)) for c, g in family if (c, g) not in pinned]
+                assert texts == sorted(texts), render(f)
+                ordered += len(texts) >= 2
+    assert ordered >= 30
+
+
+def test_coalition_out_of_range_is_refused():
+    # Only the families' coalitions are checked; one inside a <C> leaf is the
+    # caller's to check, as decide.check_agents does.
+    with pytest.raises(ValueError, match=r"coalition \[0, 2\] out of range for 2 agent\(s\)"):
+        to_standard_disjunctions(Or(Coal({1}, P), Coal({0, 2}, Q)), 2)
+    [sd] = to_standard_disjunctions(Coal({0}, Coal({2}, P)), 2)
+    assert sd.positives[1] == (frozenset({0}), Coal({2}, P))

@@ -81,11 +81,13 @@ def test_parse_errors(text, position_hint):
 
 
 # Token pieces for random parser input: connectives, prefixes, malformed
-# coalitions, unbalanced parentheses, an out-of-range agent (of 2) and stray
+# coalitions, unbalanced parentheses, an out-of-range agent (of 2), white
+# space other than a blank (NBSP is white space to the tokenizer) and stray
 # characters; pieces joined without spaces may fuse ("-" ">" is "->").
 _PIECES = (
     "p", "q", "x1", "true", "false", "~", "&", "|", "->", "-", "(", ")", "<", ">",
     "[", "]", ",", "*", "0", "1", "2", "<0>", "[1]", "<*>", "?", " ",
+    "\t", "\n", "\u00a0", "\u00e9", "\x00",
 )
 
 
@@ -103,16 +105,17 @@ def _infix(rng, depth):
     return " ".join(parts)
 
 
-def _parsed(parser, text):
+def _parsed(parser, text, *agents):
     try:
-        return parser(text, 2)
+        return parser(text, *agents)
     except ParseError as error:
         return str(error), error.position
 
 
 def test_parse_matches_recursive_reference():
-    # The loop against the recursive-descent parser it replaced: the same
-    # interned node, or the same error text and position.  A third of the
+    # The loop against the recursive-descent parser it replaced, and the
+    # one-scan tokenizer against the per-position one: the same interned
+    # node and tokens, or the same error text and position.  A third of the
     # inputs are random piece strings; the others are rendered random
     # formulas or random infix chains, with up to two pieces deleted,
     # inserted or replaced.
@@ -128,7 +131,8 @@ def test_parse_matches_recursive_reference():
                 at = rng.randrange(len(pieces) + 1)
                 pieces[at : at + rng.randint(0, 1)] = rng.sample(_PIECES, rng.randint(0, 1))
         text = rng.choice(("", " ")).join(pieces)
-        got, expected = _parsed(parse, text), _parsed(helpers.reference_parse, text)
+        assert _parsed(syntax._tokenize, text) == _parsed(helpers.reference_tokenize, text), text
+        got, expected = _parsed(parse, text, 2), _parsed(helpers.reference_parse, text, 2)
         if type(expected) is tuple:
             assert got == expected, text
             kind = re.match(r"unexpected \w+|expected (a formula|an agent index|'.')|agent index", got[0])
@@ -252,6 +256,27 @@ def test_intern_table_lets_dropped_nodes_go():
     del built
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+def test_a_dead_entry_is_replaced_by_the_new_node():
+    # A dead entry still in the table, as when a node has died but its
+    # callback has not yet run, is removed and replaced by the node built
+    # under its key; the new entry goes again when that node dies.
+    left, right = Atom("dead_left"), Atom("dead_right")
+    key = ("And", id(left), id(right))
+    assert key not in syntax._TABLE
+    referent = syntax._Gone()
+    syntax._TABLE[key] = entry = syntax._Entry(referent)
+    entry.key = key
+    del referent
+    assert entry() is None
+    f = And(left, right)
+    assert type(f) is And and f.left is left and f.right is right
+    assert syntax._TABLE[key]() is f
+    assert And(left, right) is f
+    del f
+    gc.collect()
+    assert key not in syntax._TABLE
 
 
 def test_stored_measures_match_recursive_reference():
