@@ -53,7 +53,8 @@ from .syntax import ParseError, parse, random_formula, render
 # random model (`gen`, `fuzz`) that would enumerate more than
 # `models.PROFILE_CAP` profiles exits 3 before building any (17 agents with two
 # actions already do), as does an agent count above it.  `sat --model` decides
-# all its levels with one validity oracle, synthesizes each listed formula
+# all its levels with one validity oracle, realizes the clause that oracle
+# found refuting each level's negation, synthesizes each listed formula
 # once, and glues a copy per listed profile and formula by state offset;
 # checking the glued model evaluates each `<C>` node of its listed formulas
 # once.  `mc` and `props` are linear in the model file: loading is one
@@ -120,9 +121,6 @@ def cmd_check(args) -> int:
 def cmd_sat(args) -> int:
     logic = LogicId.from_string(args.logic)
     formula = parse(args.formula, args.agents)
-    # With --model, synthesize decides: it returns None exactly when every
-    # clause of the negation's normal form has a reduction witness, which is
-    # the loop is_satisfiable runs, with the same cap, order and errors.
     if args.model:
         pointed = synthesize(formula, logic, args.agents)
         sat = pointed is not None

@@ -14,7 +14,8 @@ without independence, instead of every subset of the antecedents.
 
 The truth table runs the formula's :func:`~cglogic.syntax.skeleton` program,
 the one also run by the normal form and by model checking, once per
-assignment.  The oracle's cache is keyed by the formula node.  Nodes are
+assignment.  The oracle's cache is keyed by the formula node and keeps,
+for an invalid node, what refutes it, which synthesis realizes.  Nodes are
 interned (:mod:`cglogic.syntax`), so a lookup reads the node's stored hash
 and compares identity, and ``modal_depth`` reads a stored field.
 """
@@ -189,31 +190,40 @@ def check_agents(f: Formula, agents: int) -> None:
         raise ValueError(f"formula mentions agent {worst}; session has {agents} agent(s)")
 
 
-def _validity(f: Formula, logic: LogicId, agents: int, cache: dict) -> bool:
+def _validity(f: Formula, logic: LogicId, agents: int, cache: dict):
+    """True when f is valid, else what refutes it: False at depth 0, and
+    otherwise the first clause of f's normal form with no reduction witness,
+    whose blueprint :mod:`cglogic.synth` realizes.  The answer is cached per
+    node, so each node is normalized and searched at most once per cache."""
     cached = cache.get(f)
-    if cached is not None:
-        return cached
-    if modal_depth(f) == 0:
-        result = is_taut(f)
-    else:
-        rec = lambda g: _validity(g, logic, agents, cache)
-        result = True
-        for clause in to_standard_disjunctions(f, agents):
-            if reduction_witness(clause, logic, rec) is None:
-                result = False
-                break
-    cache[f] = result
-    return result
+    if cached is None:
+        if modal_depth(f) == 0:
+            cached = is_taut(f)
+        else:
+            rec = lambda g: _validity(g, logic, agents, cache) is True
+            clauses = to_standard_disjunctions(f, agents)
+            cached = next((c for c in clauses if reduction_witness(c, logic, rec) is None), True)
+        cache[f] = cached
+    return cached
 
 
 def validity_oracle(logic: LogicId, agents: int):
-    """Memoizing validity decision shared across related queries."""
+    """Memoizing validity decision shared across related queries.
+
+    ``rec(f)`` is f's validity.  ``rec.refutation(f)`` is the cached answer
+    it reads: True when f is valid, else False for an invalid depth-0 f and
+    the first clause of f's normal form with no reduction witness otherwise.
+    """
     cache: dict = {}
 
-    def rec(f: Formula) -> bool:
+    def refutation(f: Formula):
         check_agents(f, agents)
         return _validity(f, logic, agents, cache)
 
+    def rec(f: Formula) -> bool:
+        return refutation(f) is True
+
+    rec.refutation = refutation
     return rec
 
 

@@ -793,6 +793,8 @@ def random_model(cfg: RandomModelConfig, logic, seed, atoms=("p", "q", "r")) -> 
     check_count(cfg.agents, "agent")
     check_count(cfg.num_states, "state")
     check_count(cfg.num_actions, "action")
+    if type(cfg.branching) is not int:
+        raise ValueError(f"branching {cfg.branching!r} must be an int")
     if min(cfg.num_states, cfg.num_actions, cfg.agents, cfg.branching) < 1:
         raise ValueError("all RandomModelConfig bounds must be >= 1")
     rng = _random.Random(seed)

@@ -1,6 +1,9 @@
 """Countermodel synthesis: blueprints from standard disjunctions with no
 reduction witness, whose negations (standard conjunctions) they realize by
-model gluing, and recursive end-to-end synthesis.
+model gluing, and recursive end-to-end synthesis.  The clause realized for
+a formula f is the refutation of ~f that the validity oracle found and
+cached while deciding it (:func:`cglogic.decide.validity_oracle`), so
+synthesis does not search the normal form again.
 
 A blueprint names one base action per antecedent index and one per consequent
 index of the source clause, and lists, for every full action profile over
@@ -18,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .decide import check_agents, find_assignment, is_neat, reduction_witness, validity_oracle
+from .decide import check_agents, find_assignment, is_neat, validity_oracle
+from .decide import reduction_witness  # not called here; bench/tracer.py wraps it by this name
 from .logics import LogicId
 from .mcheck import enables, ensures, satisfies
 from .models import (
@@ -34,7 +38,7 @@ from .normalform import (
     _dedupe,
     basic_positive_indices,
     check_literals,
-    to_standard_disjunctions,
+    to_standard_disjunctions,  # not called here; bench/tracer.py wraps it by this name
 )
 from .syntax import Formula, Not, big_and, big_or, modal_depth, render
 
@@ -281,13 +285,16 @@ def synthesize(f: Formula, logic: LogicId, agents: int) -> PointedModel | None:
     """Pointed model of the logic satisfying f, or None when f is unsatisfiable.
 
     Depth-0 formulas become one-state loop models over a satisfying
-    valuation.  Otherwise the negation is normalized; for a clause with no
-    reduction witness a blueprint of its negation, the standard conjunction,
-    is built, the listed formulas are synthesized recursively (all strictly
-    shallower) and glued by :func:`realize` under a root labeled by the
-    complemented gamma.  One validity oracle and one formula -> pointed
-    model memo serve every recursion level of the query, and every level's
-    realization is verified.
+    valuation.  Otherwise the validity oracle decides the negation; f is
+    unsatisfiable when the negation is valid, and else the oracle's
+    refutation of it, the first clause of its normal form with no reduction
+    witness, is realized: a blueprint of the clause's negation, the
+    standard conjunction, is built, the listed formulas are synthesized
+    recursively (all strictly shallower) and glued by :func:`realize` under
+    a root labeled by the complemented gamma.  One validity oracle and one
+    formula -> pointed model memo serve every recursion level of the query,
+    so each node is normalized at most once, and every level's realization
+    is verified.
     """
     check_agents(f, agents)
     rec = validity_oracle(logic, agents)
@@ -302,9 +309,8 @@ def _synthesize(f, logic, agents, rec, memo) -> PointedModel | None:
         true_atoms = [atom.name for atom, value in assignment.items() if value]
         return _loop_model(true_atoms, [atom.name for atom in assignment], agents)
 
-    clauses = to_standard_disjunctions(Not(f), agents)
-    chosen = next((c for c in clauses if reduction_witness(c, logic, rec) is None), None)
-    if chosen is None:
+    chosen = rec.refutation(Not(f))
+    if chosen is True:
         return None
 
     # Each level makes its own provider: a shared one would call itself, a

@@ -344,3 +344,45 @@ def test_check_trace_on_fans_matches_the_full_neat_set_search(capsys, monkeypatc
     got = traces()
     monkeypatch.setattr(decide, "reduction_witness", helpers.reference_reduction_witness)
     assert got == traces()
+
+
+def _refutation_cases():
+    cases = []
+    rng = random.Random(61)
+    for agents in (1, 2, 3):
+        for depth in range(4):
+            cases += [(random_formula(rng, depth, agents), agents) for _ in range(8)]
+    # the first draws of each criterion-5 pool
+    for index in range(len(ALL_LOGICS)):
+        rng = random.Random(303 + index)
+        cases += [(random_formula(rng, 2, 2, ("p", "q")), 2) for _ in range(6)]
+    return cases
+
+
+def test_oracle_refutation_is_the_first_clause_with_no_witness():
+    # One oracle per logic serves every case, so many answers are read from
+    # its cache; each is held to a fresh oracle's search.
+    cases = _refutation_cases()
+    seen = {"valid": 0, "False": 0, "clause": 0}
+    for x in ALL_LOGICS:
+        oracles = {agents: validity_oracle(x, agents) for agents in (1, 2, 3)}
+        for f, agents in cases:
+            for g in (f, Not(f)):
+                rec = oracles[agents]
+                refutation = rec.refutation(g)
+                assert (refutation is True) == rec(g), (x.name, render(g))
+                if refutation is True:
+                    seen["valid"] += 1
+                elif modal_depth(g) == 0:
+                    assert refutation is False and not is_taut(g), render(g)
+                    seen["False"] += 1
+                else:
+                    fresh = validity_oracle(x, agents)
+                    first = next(
+                        c
+                        for c in to_standard_disjunctions(g, agents)
+                        if reduction_witness(c, x, fresh) is None
+                    )
+                    assert refutation == first, (x.name, render(g))
+                    seen["clause"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -551,6 +551,14 @@ def test_random_model_bad_config():
         random_model(RandomModelConfig(num_states=0), E, 1)
 
 
+@pytest.mark.parametrize("branching", [None, "2", 2.5, True])
+def test_random_model_branching_must_be_an_int(branching):
+    # Checked before the bounds are compared, as the counts are; a bool is
+    # not a bound.
+    with pytest.raises(ValueError, match=rf"^branching {re.escape(repr(branching))} must be an int$"):
+        random_model(RandomModelConfig(branching=branching), E, 0)
+
+
 def test_validate_monotone_in_logic():
     for seed in range(20):
         for x in ALL_LOGICS:

@@ -546,3 +546,32 @@ def test_synthesis_releases_its_models_without_cyclic_gc(monkeypatch):
         assert len(glued) > 2 and all(alive() is None for alive in glued)
     finally:
         gc.enable()
+
+
+def test_synthesis_normalizes_each_node_once_per_query(monkeypatch):
+    # The oracle's refutation of ~f is the clause synthesis realizes, so no
+    # node of a query is normalized twice, by decide or by synth.
+    from cglogic import decide
+
+    seen = []
+
+    def recording(real):
+        def normalize(f, agents):
+            seen.append(f)
+            return real(f, agents)
+
+        return normalize
+
+    for module in (decide, synth):
+        real = module.to_standard_disjunctions
+        monkeypatch.setattr(module, "to_standard_disjunctions", recording(real))
+    rng = random.Random(3)
+    normalized = 0
+    for index in range(400):
+        x = ALL_LOGICS[index % len(ALL_LOGICS)]
+        f = random_formula(rng, 2, 2, ("p", "q"))
+        seen.clear()
+        synthesize(f, x, 2)
+        assert len(seen) == len(set(seen)), (x.name, render(f))
+        normalized += len(seen)
+    assert normalized >= 400
