@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
 that cannot be read or written (a missing model file, a directory, a missing
 output directory), 3 resource cap exceeded (the clause cap, the profile cap
-of 100000 on the profiles a random model or a blueprint enumerates and on the
-agent count and a random model's state and action counts, or, for `check`
-and `sat`, `<C>` nested deeper than the recursion limit).  Output is
-line-oriented text; --json switches each command to one JSON record.
+of 100000 on the profiles a random model or a blueprint enumerates, on the
+agent count of a query or a model file and on a random model's state and
+action counts, or, for `check` and `sat`, `<C>` nested deeper than the
+recursion limit).  Output is line-oriented text; --json switches each
+command to one JSON record, and a discrepancy of `fuzz` too.
 
 Parsing, formula traversals and model checking are iterative, so `mc`
 answers `<0><0>...<0>p` at any nesting depth.  Only `check` and `sat` are
@@ -97,16 +98,13 @@ def _witness_text(clause_index, clause, witness) -> str:
 def cmd_check(args) -> int:
     logic = LogicId.from_string(args.logic)
     formula = parse(args.formula, args.agents)
-    lines = []
+    trace = []
     if args.trace:
         verdict, details = explain(formula, logic, args.agents)
-        lines.extend(
-            _witness_text(i, clause, witness) for i, (clause, witness) in enumerate(details)
-        )
+        trace = [_witness_text(i, clause, witness) for i, (clause, witness) in enumerate(details)]
     else:
         verdict = is_valid(formula, logic, args.agents)
     result = "valid" if verdict else "invalid"
-    lines.append(result)
     record = {
         "command": "check",
         "formula": render(formula),
@@ -114,7 +112,9 @@ def cmd_check(args) -> int:
         "agents": args.agents,
         "result": result,
     }
-    _emit(args, record, lines)
+    if args.trace:
+        record["trace"] = trace
+    _emit(args, record, [*trace, result])
     return 0
 
 
@@ -248,6 +248,13 @@ def cmd_fuzz(args) -> int:
         if value < 0:
             raise ValueError(f"{option} must be >= 0, got {value}")
     check_count(args.agents, "agent")
+    record = {
+        "command": "fuzz",
+        "logic": logic.name,
+        "iters": args.iters,
+        "seed": args.seed,
+        "result": "ok",
+    }
     for iteration in range(args.iters):
         rng = random.Random(args.seed * 1_000_003 + iteration)
         outcome = _fuzz_iteration(logic, args.agents, args.depth, atoms, rng)
@@ -268,15 +275,12 @@ def cmd_fuzz(args) -> int:
                 bundle["model"] = model_path
             with open(args.bundle, "w", encoding="utf-8") as handle:
                 json.dump(bundle, handle, indent=2)
-            print(f"discrepancy at iteration {iteration} ({stage}); bundle: {args.bundle}")
+            record.update(
+                result="discrepancy", iteration=iteration, stage=stage, bundle=args.bundle
+            )
+            line = f"discrepancy at iteration {iteration} ({stage}); bundle: {args.bundle}"
+            _emit(args, record, [line])
             return 1
-    record = {
-        "command": "fuzz",
-        "logic": logic.name,
-        "iters": args.iters,
-        "seed": args.seed,
-        "result": "ok",
-    }
     _emit(args, record, [f"ok: {args.iters} iterations, no discrepancy"])
     return 0
 

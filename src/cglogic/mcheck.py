@@ -3,9 +3,10 @@
 Evaluation works on the model's index form (:mod:`cglogic.models`): a set of
 states is an ``int`` whose bit i is state i.  An atom is its label mask,
 negation is complement within all states and conjunction is ``&``: the
-formula's :func:`~cglogic.syntax.skeleton` program runs over masks, and a
-``<C>`` leaf first runs its child's program, from an explicit stack, so
-nesting depth is not bounded by Python's recursion limit.  ``<C>phi``
+formula's :func:`~cglogic.syntax.skeleton` program runs over masks once each
+of its ``<C>`` leaves has one.  The masks still wanted wait on an explicit
+stack, the formula at the bottom and a ``<C>`` node above whatever needs its
+mask, so nesting depth is not bounded by Python's recursion limit.  ``<C>phi``
 holds at a state when some joint action of C available there has all its
 outcomes inside phi's mask.  With ``bad`` the complement of that mask, a
 listed profile spoils the joint action it projects to when its outcome mask
@@ -63,38 +64,31 @@ def sat_states(m: Model, f: Formula) -> frozenset[str]:
 
 def _eval_at(m: Model, everything: int, memo: dict[Formula, int], node: Formula) -> int:
     # The memo holds formula nodes, which never refer to a model, so keeping
-    # it on the model makes no reference cycle.  ``waiting`` holds one frame
-    # per suspended skeleton program: the <C> leaf that waits for its child's
-    # mask, and the program's leaves, steps, root and slots filled so far.
+    # it on the model makes no reference cycle.  ``wanted`` holds the masks
+    # still to compute: None, at the bottom, is the formula itself, and every
+    # other item is a <C> node.  The top item's program, the formula's
+    # skeleton or the <C> node's child's, runs once each of its leaves has a
+    # mask; until then its <C> leaves without one are pushed above it.
     label_masks = m.label_masks
-    waiting = []
-    leaves, steps, root = skeleton(node)
-    values = [everything]
+    wanted = [None]
     while True:
-        # Fill the leaf slots, up to a <C> leaf whose mask is not known yet.
-        while len(values) <= len(leaves):
-            leaf = leaves[len(values) - 1]
-            if type(leaf) is Atom:
-                values.append(label_masks.get(leaf.name, 0))
-                continue
-            mask = memo.get(leaf)
-            if mask is None:
-                break
-            values.append(mask)
-        else:  # all filled: run the steps; the mask goes to the waiting <C> leaf
-            for a, b in steps:
-                values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
-            if not waiting:
-                return values[root]
-            bad = everything ^ values[root]
-            leaf, leaves, steps, root, values = waiting.pop()
-            values.append(_able(m, leaf.coalition, bad))
-            memo[leaf] = values[-1]
+        item = wanted[-1]
+        if item in memo:  # pushed twice, and computed since
+            wanted.pop()
             continue
-        # Suspend this program and run the <C> leaf's child first.
-        waiting.append((leaf, leaves, steps, root, values))
-        leaves, steps, root = skeleton(leaf.child)
-        values = [everything]
+        leaves, steps, root = skeleton(node if item is None else item.child)
+        unknown = [leaf for leaf in leaves if type(leaf) is not Atom and leaf not in memo]
+        if unknown:
+            wanted += unknown
+            continue
+        values = [everything] + [
+            label_masks.get(leaf.name, 0) if type(leaf) is Atom else memo[leaf] for leaf in leaves
+        ]
+        for a, b in steps:
+            values.append(everything ^ values[a] if b < 0 else values[a] & values[b])
+        if item is None:
+            return values[root]
+        memo[wanted.pop()] = _able(m, item.coalition, everything ^ values[root])
 
 
 def _able(m: Model, coalition, bad: int) -> int:

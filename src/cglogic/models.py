@@ -138,13 +138,6 @@ def _known(name, names) -> bool:
 
 def _bit_numbers(mask: int) -> list[int]:
     """The numbers of the set bits of a mask, lowest first."""
-    if mask.bit_count() <= 8:  # few bits: peel off the lowest one at a time
-        numbers = []
-        while mask:
-            low = mask & -mask
-            numbers.append(low.bit_length() - 1)
-            mask ^= low
-        return numbers
     digits = bin(mask)[:1:-1]
     numbers = []
     n = digits.find("1")
@@ -156,7 +149,9 @@ def _bit_numbers(mask: int) -> list[int]:
 
 def _check_names(agents, states: tuple, actions: tuple) -> tuple[dict[str, int], frozenset[str]]:
     """A model's state index and action set, checked: at least one agent,
-    state and action, and no name twice."""
+    state and action, and no name twice.  The agent count is checked first
+    (:func:`check_count`), before anything is built for it."""
+    check_count(agents, "agent")
     if agents < 1:
         raise ModelError("a model needs at least one agent")
     if not states:
@@ -414,10 +409,12 @@ def outcome(m: Model, state: str, coalition, ja: tuple[str, ...]) -> frozenset[s
 def outcome_mask(m: Model, state: str, coalition, ja: tuple[str, ...]) -> int:
     """:func:`outcome` as a mask of states, with the same checks and errors:
     the coalition, then the joint action's length and actions, then the
-    state.  The grand coalition's outcome is one row lookup; for a listed
-    profile it skips the joint action's checks, which the model's
-    construction made, and for the model's own grand coalition
-    (:meth:`Model.full_coalition`) also the coalition's."""
+    state.  A listed profile of the grand coalition is one row lookup that
+    skips the joint action's checks, which the model's construction made,
+    and for the model's own grand coalition (:meth:`Model.full_coalition`)
+    also the coalition's.  Any other joint action is checked, and its outcome
+    is the union over the state's profiles that the coalition's projection
+    maps to it; the grand coalition's projection is the profile list."""
     if coalition is not m._grand:
         coalition = _check_coalition(m, coalition)
     try:
@@ -433,8 +430,6 @@ def outcome_mask(m: Model, state: str, coalition, ja: tuple[str, ...]) -> int:
         if not _known(action, m.action_set):
             raise ModelError(f"unknown action {action!r}")
     row = m.rows[m.number(state)]
-    if len(coalition) == m.agents:
-        return row.get(m.profile_numbers.get(ja), 0)
     of_profile, joint = m.projection(coalition)
     mask = 0
     for n, targets in row.items():

@@ -52,6 +52,22 @@ def test_check_trace(capsys):
     assert "clause 0" in out and out.strip().endswith("valid")
 
 
+@pytest.mark.parametrize(
+    "formula", ["<0>p -> <0,1>p", "(<0>p | <1>q) & <*>(p -> <0>q)", "p | ~p"]
+)
+def test_check_json_trace_carries_the_text_lines(capsys, formula):
+    argv = ["check", "--trace", "--logic", "E", "--agents", "2", formula]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert record["trace"] == lines[:-1] and record["result"] == lines[-1]
+    code, out, _ = run(capsys, "--json", *argv[:1], *argv[2:])
+    assert code == 0 and "trace" not in json.loads(out)
+
+
 def test_check_json(capsys):
     code, out, _ = run(capsys, "--json", "check", "--logic", "SID", "--agents", "2", "~<*>false")
     assert code == 0
@@ -175,6 +191,52 @@ def test_fuzz_clean_run(capsys, tmp_path, monkeypatch):
     assert code == 0 and "ok: 25 iterations" in out
     code, out, _ = run(capsys, "fuzz", "--logic", "E", "--iters", "25", "--seed", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_fuzz_discrepancy_writes_a_bundle(capsys, tmp_path, monkeypatch, as_json):
+    # A model check that always fails stops the run at its first satisfiable
+    # formula, whose synthesized model the bundle names.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cglogic.cli, "satisfies", lambda *args: False)
+    argv = ["fuzz", "--logic", "E", "--iters", "20", "--seed", "5"]
+    code, out, _ = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 1
+    bundle = json.loads((tmp_path / "fuzz_failure.json").read_text())
+    keys = {"seed", "iteration", "logic", "agents", "formula", "stage", "detail", "model"}
+    assert set(bundle) == keys
+    assert bundle["stage"] == "mcheck" and (bundle["seed"], bundle["logic"]) == (5, "E")
+    pointed = load_pointed_model(bundle["model"])
+    assert satisfies(pointed.model, pointed.state, parse(bundle["formula"], bundle["agents"]))
+    if as_json:
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out) == {
+            "command": "fuzz",
+            "logic": "E",
+            "iters": 20,
+            "seed": 5,
+            "result": "discrepancy",
+            "iteration": bundle["iteration"],
+            "stage": "mcheck",
+            "bundle": "fuzz_failure.json",
+        }
+    else:
+        text = f"discrepancy at iteration {bundle['iteration']} (mcheck); bundle: fuzz_failure.json"
+        assert out == text + "\n"
+
+
+def test_fuzz_consistency_discrepancy_has_no_model(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cglogic.cli, "is_valid", lambda *args: True)
+    monkeypatch.setattr(cglogic.cli, "is_satisfiable", lambda *args: False)
+    code, out, _ = run(capsys, "--json", "fuzz", "--logic", "SID", "--iters", "3")
+    assert code == 1
+    record = json.loads(out)
+    assert record["result"] == "discrepancy" and record["stage"] == "consistency"
+    assert record["iteration"] == 0
+    bundle = json.loads((tmp_path / "fuzz_failure.json").read_text())
+    assert bundle["stage"] == "consistency" and "model" not in bundle
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fuzz_failure.json"]
 
 
 @pytest.mark.parametrize("option", ["--iters", "--depth"])

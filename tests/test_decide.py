@@ -19,8 +19,8 @@ from cglogic.decide import (
 )
 from cglogic.logics import D, E, I, ID, LogicId, S, SD, SI, SID
 from cglogic.mcheck import satisfies, valid_on_model
-from cglogic.models import RandomModelConfig, random_model, validate_model
-from cglogic.normalform import StandardDisjunction, to_standard_disjunctions
+from cglogic.models import Model, RandomModelConfig, random_model, validate_model
+from cglogic.normalform import StandardDisjunction, sd_to_formula, to_standard_disjunctions
 from cglogic.synth import synthesize
 from cglogic.syntax import (
     And,
@@ -220,6 +220,45 @@ def test_explain_trace():
     assert verdict and details == []
 
 
+def _explain_cases():
+    # Seeded formulas of modal depth at most 3 at 1-3 agents: random draws,
+    # which are mostly invalid, and <C>g -> <D>(g | h) with C inside D, which is
+    # valid in every logic, so that modal witnesses occur.
+    rng = random.Random(83)
+    cases = []
+    for agents in (1, 2, 3):
+        for depth in range(3):
+            for _ in range(12):
+                f = random_formula(rng, depth + 1, agents)
+                g, h = random_formula(rng, depth, agents), random_formula(rng, depth, agents)
+                c = frozenset(a for a in range(agents) if rng.random() < 0.5)
+                d = c | frozenset(a for a in range(agents) if rng.random() < 0.5)
+                cases += [(f, agents), (Implies(Coal(c, g), Coal(d, Or(g, h))), agents)]
+    return cases
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS, ids=lambda x: x.name)
+def test_explain_agrees_with_is_valid(capsys, logic):
+    # explain's verdict is is_valid's, an invalid verdict is exactly a clause
+    # without a witness, and every modal witness names an implication of
+    # smaller modal depth than its clause that a fresh oracle finds valid.
+    for index, (f, agents) in enumerate(_explain_cases()):
+        verdict, details = explain(f, logic, agents)
+        assert verdict == is_valid(f, logic, agents), render(f)
+        if modal_depth(f) >= 1:
+            assert (not verdict) == any(witness is None for _, witness in details)
+        for clause, witness in details:
+            if witness is not None and witness.kind == "modal":
+                assert modal_depth(witness.reduced) < modal_depth(sd_to_formula(clause))
+                assert validity_oracle(logic, agents)(witness.reduced)
+        if index % 10 == 0:
+            argv = ["check", "--logic", logic.name, "--agents", str(agents), render(f)]
+            assert main(argv) == 0
+            plain = capsys.readouterr().out
+            assert main([*argv[:1], "--trace", *argv[1:]]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == plain.strip()
+
+
 def test_agent_mismatch_and_bad_args():
     with pytest.raises(ValueError):
         is_valid(Coal({3}, P), E, 2)
@@ -241,8 +280,18 @@ _F2 = Coal({0}, P)
         lambda n: validity_oracle(E, n)(_F2),
         lambda n: synthesize(_F2, E, n),
         lambda n: random_model(RandomModelConfig(agents=n), E, 0),
+        lambda n: Model(n, ("a",), ("s0",), {}, {}),
     ],
-    ids=["parse", "is_valid", "is_satisfiable", "explain", "oracle", "synthesize", "random_model"],
+    ids=[
+        "parse",
+        "is_valid",
+        "is_satisfiable",
+        "explain",
+        "oracle",
+        "synthesize",
+        "random_model",
+        "Model",
+    ],
 )
 def test_agent_count_must_be_an_int(call, agents):
     # A bool is not an agent count; every entry refuses a count that is not

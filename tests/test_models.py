@@ -22,7 +22,7 @@ from cglogic import (
     validate_model,
 )
 from cglogic.logics import D, E, I, LogicId, S, SID
-from cglogic.models import coalitions
+from cglogic.models import PROFILE_CAP, ProfileCapError, coalitions
 from cglogic.cli import main
 from cglogic.synth import check_regular, synthesize
 from cglogic.syntax import Atom, Not, random_formula
@@ -471,6 +471,20 @@ def test_load_errors(tmp_path, doc, message):
     path.write_text(doc)
     with pytest.raises(ModelError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("command", ["props", "mc"])
+def test_model_file_agent_cap(tmp_path, capsys, command):
+    # A model file's agent count meets the same cap as a query's, before
+    # anything is built for the agents.
+    path = tmp_path / "wide.json"
+    path.write_text(f'{{"agents": {PROFILE_CAP + 1}, "actions": ["a"], "states": ["s0"]}}')
+    with pytest.raises(ProfileCapError, match=f"^{PROFILE_CAP + 1} agents exceed the agent cap"):
+        load_model(path)
+    argv = [command, str(path)] + (["s0", "p"] if command == "mc" else [])
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "agent cap" in err
 
 
 def test_interleaved_entries_load_the_constructed_model(tmp_path):
