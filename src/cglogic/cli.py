@@ -1,13 +1,19 @@
 """Command-line front end: check, sat, mc, props, gen, fuzz.
 
-Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, or a file
-that cannot be read or written (a missing model file, a directory, a missing
-output directory), 3 resource cap exceeded (the clause cap, the profile cap
-of 100000 on the profiles a random model or a blueprint enumerates, on the
-agent count of a query or a model file and on a random model's state and
-action counts, or, for `check` and `sat`, `<C>` nested deeper than the
-recursion limit).  Output is line-oriented text; --json switches each
-command to one JSON record, and a discrepancy of `fuzz` too.
+Each command returns its reply as one record, a dict, and prints nothing.
+`main` prints the record as one JSON line under --json, and otherwise the text
+lines rendered from it by `_text_lines`.  A command that raises prints an
+`error: ...` line on stderr and nothing on stdout; under --json, stdout then
+carries one record ``{command, result: "error", kind, message}``, whose kind
+is parse, model, file, usage, clause_cap, profile_cap or depth.
+
+Exit codes: 0 success, 1 fuzz discrepancy, 2 usage or parse error, a
+malformed model, or a file that cannot be read or written (a missing model
+file, a directory, a missing output directory), 3 resource cap exceeded (the
+clause cap, the profile cap of 100000 on the profiles a random model or a
+blueprint enumerates, on the agent count of a query or a model file and on a
+random model's state and action counts, or, for `check` and `sat`, `<C>`
+nested deeper than the recursion limit).
 
 Parsing, formula traversals and model checking are iterative, so `mc`
 answers `<0><0>...<0>p` at any nesting depth.  Only `check` and `sat` are
@@ -37,33 +43,17 @@ from .models import (
     save_model,
     validate_model,
 )
-from .normalform import ClauseCapError
+from .normalform import ClauseCapError, sd_to_formula
 from .synth import synthesize
 from .syntax import ParseError, parse, random_formula, render
 
-# Desk-scale guidance for `check`, `sat` and `fuzz`, whose cost grows with the
-# formula: for each consequent, `decide.reduction_witness` tries only the
-# maximal neat sets of the clause's k antecedents that the consequent's
-# coalition covers (by monotonicity a smaller set cannot succeed where a
-# larger one failed): at most k sets without independence, and the maximal
-# families of disjoint coalitions with it.  Each try decides a reduced
-# implication; at depth 0 that is a truth table with one row per assignment
-# to its atoms and `<C>` leaves (2^k rows for the fan family's k atoms).
-# `synth.build_blueprint` enumerates |base actions|^agents profiles, one base
-# action per antecedent and per consequent.  A blueprint or
-# random model (`gen`, `fuzz`) that would enumerate more than
-# `models.PROFILE_CAP` profiles exits 3 before building any (17 agents with two
-# actions already do), as does an agent count above it.  `sat --model` decides
-# all its levels with one validity oracle, realizes the clause that oracle
-# found refuting each level's negation, synthesizes each listed formula
-# once, and glues a copy per listed profile and formula by state offset;
-# checking the glued model evaluates each `<C>` node of its listed formulas
-# once.  `mc` and `props` are linear in the model file: loading is one
-# validating pass over its outcome entries, with the cyclic collector paused
-# (of a 500-state load, reading the file takes about 5%, JSON decoding 45%
-# and the pass 50%), after which states are bits of an int, each `<C>` node
-# of an `mc` formula is one pass over the listed profiles, each other node
-# one mask operation, and each frame check of `props` one pass over the rows.
+# The bounds follow from the cost of a query.  Deciding tries, for each
+# consequent of a clause, the maximal neat sets of its k antecedents, and each
+# try is a truth table of 2^k rows over its atoms and `<C>` leaves.  A
+# blueprint enumerates |base actions|^agents profiles; above
+# `models.PROFILE_CAP` a query exits 3 before building any.  Deciding and
+# synthesis recurse once per modal level.  `mc` and `props` make one pass over
+# the model file, then one per `<C>` node or frame check.
 SCALE_NOTE = (
     "check, sat and fuzz are intended for desk-scale formulas and countermodels"
     " (agents <= 3, actions <= 4, small modal depth); mc and props are linear in"
@@ -71,17 +61,7 @@ SCALE_NOTE = (
 )
 
 
-def _emit(args, record: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _witness_text(clause_index, clause, witness) -> str:
-    from .normalform import sd_to_formula
-
     head = f"clause {clause_index}: {render(sd_to_formula(clause))}"
     if witness is None:
         return head + " :: no reduction witness (clause invalid)"
@@ -95,93 +75,82 @@ def _witness_text(clause_index, clause, witness) -> str:
     )
 
 
-def cmd_check(args) -> int:
+def _text_lines(record: dict) -> list[str]:
+    """The lines that print a record without --json."""
+    command = record["command"]
+    if command == "props":
+        frame = (f"{name}={str(value).lower()}" for name, value in record.items() if type(value) is bool)
+        return [" ".join(frame)]
+    if command == "gen":
+        return [
+            "wrote {out}: {states} states, {actions} actions, {agents} agents"
+            " ({logic}-model, seed {seed})".format_map(record)
+        ]
+    if command == "fuzz":
+        if record["result"] == "ok":
+            return [f"ok: {record['iters']} iterations, no discrepancy"]
+        return ["discrepancy at iteration {iteration} ({stage}); bundle: {bundle}".format_map(record)]
+    lines = [*record.get("trace", ()), record["result"]]
+    if "pointed" in record:
+        lines.append(f"model written to {record['model']}")
+    return lines
+
+
+def _query(args):
+    """The logic and formula of a `check` or `sat` query, and its record so far."""
     logic = LogicId.from_string(args.logic)
     formula = parse(args.formula, args.agents)
-    trace = []
+    record = {
+        "command": args.command,
+        "formula": render(formula),
+        "logic": logic.name,
+        "agents": args.agents,
+    }
+    return logic, formula, record
+
+
+def cmd_check(args) -> dict:
+    logic, formula, record = _query(args)
     if args.trace:
         verdict, details = explain(formula, logic, args.agents)
-        trace = [_witness_text(i, clause, witness) for i, (clause, witness) in enumerate(details)]
+        record["trace"] = [_witness_text(i, clause, witness) for i, (clause, witness) in enumerate(details)]
     else:
         verdict = is_valid(formula, logic, args.agents)
-    result = "valid" if verdict else "invalid"
-    record = {
-        "command": "check",
-        "formula": render(formula),
-        "logic": logic.name,
-        "agents": args.agents,
-        "result": result,
-    }
-    if args.trace:
-        record["trace"] = trace
-    _emit(args, record, [*trace, result])
-    return 0
+    record["result"] = "valid" if verdict else "invalid"
+    return record
 
 
-def cmd_sat(args) -> int:
-    logic = LogicId.from_string(args.logic)
-    formula = parse(args.formula, args.agents)
-    if args.model:
-        pointed = synthesize(formula, logic, args.agents)
-        sat = pointed is not None
-    else:
-        sat = is_satisfiable(formula, logic, args.agents)
-    result = "satisfiable" if sat else "unsatisfiable"
-    lines = [result]
-    record = {
-        "command": "sat",
-        "formula": render(formula),
-        "logic": logic.name,
-        "agents": args.agents,
-        "result": result,
-    }
-    if sat and args.model:
+def cmd_sat(args) -> dict:
+    logic, formula, record = _query(args)
+    pointed = synthesize(formula, logic, args.agents) if args.model else None
+    if pointed is not None:
         save_model(pointed.model, args.model, pointed=pointed.state)
-        lines.append(f"model written to {args.model}")
-        record["model"] = args.model
-        record["pointed"] = pointed.state
-    _emit(args, record, lines)
-    return 0
+        record.update(model=args.model, pointed=pointed.state)
+    sat = pointed is not None if args.model else is_satisfiable(formula, logic, args.agents)
+    record["result"] = "satisfiable" if sat else "unsatisfiable"
+    return record
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> dict:
     model = load_model(args.model)
     if args.state not in model.index:
         raise ModelError(f"unknown state {args.state!r}")
     formula = parse(args.formula, model.agents)
     verdict = satisfies(model, args.state, formula)
-    result = "true" if verdict else "false"
-    record = {
+    return {
         "command": "mc",
         "model": args.model,
         "state": args.state,
         "formula": render(formula),
-        "result": result,
+        "result": "true" if verdict else "false",
     }
-    _emit(args, record, [result])
-    return 0
 
 
-def cmd_props(args) -> int:
-    model = load_model(args.model)
-    props = frame_properties(model)
-    line = (
-        f"serial={str(props.serial).lower()}"
-        f" independent={str(props.independent).lower()}"
-        f" deterministic={str(props.deterministic).lower()}"
-    )
-    record = {
-        "command": "props",
-        "model": args.model,
-        "serial": props.serial,
-        "independent": props.independent,
-        "deterministic": props.deterministic,
-    }
-    _emit(args, record, [line])
-    return 0
+def cmd_props(args) -> dict:
+    return {"command": "props", "model": args.model, **vars(frame_properties(load_model(args.model)))}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> dict:
     logic = LogicId.from_string(args.logic)
     cfg = RandomModelConfig(
         num_states=args.states,
@@ -191,11 +160,7 @@ def cmd_gen(args) -> int:
     )
     model = random_model(cfg, logic, args.seed)
     save_model(model, args.out)
-    line = (
-        f"wrote {args.out}: {len(model.states)} states, {len(model.actions)} actions,"
-        f" {model.agents} agents ({logic.name}-model, seed {args.seed})"
-    )
-    record = {
+    return {
         "command": "gen",
         "logic": logic.name,
         "seed": args.seed,
@@ -204,8 +169,6 @@ def cmd_gen(args) -> int:
         "actions": len(model.actions),
         "agents": model.agents,
     }
-    _emit(args, record, [line])
-    return 0
 
 
 FUZZ_MODELS_PER_VALID = 3  # random models each formula declared valid is checked on
@@ -241,7 +204,7 @@ def _fuzz_iteration(logic, agents, depth, atoms, rng):
     return None
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> dict:
     logic = LogicId.from_string(args.logic)
     atoms = ("p", "q")
     for option, value in (("--iters", args.iters), ("--depth", args.depth)):
@@ -278,11 +241,8 @@ def cmd_fuzz(args) -> int:
             record.update(
                 result="discrepancy", iteration=iteration, stage=stage, bundle=args.bundle
             )
-            line = f"discrepancy at iteration {iteration} ({stage}); bundle: {args.bundle}"
-            _emit(args, record, [line])
-            return 1
-    _emit(args, record, [f"ok: {args.iters} iterations, no discrepancy"])
-    return 0
+            break
+    return record
 
 
 @functools.cache
@@ -352,23 +312,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The error kind and exit code of each exception a command may raise; the
+# first class that matches wins.
+_ERRORS = {
+    ParseError: ("parse", 2),
+    ModelError: ("model", 2),
+    OSError: ("file", 2),
+    ValueError: ("usage", 2),
+    ClauseCapError: ("clause_cap", 3),
+    ProfileCapError: ("profile_cap", 3),
+    RecursionError: ("depth", 3),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ClauseCapError, ProfileCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print(
-            f"error: formula nested too deeply (Python recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
-        return 3
-    except (ParseError, ModelError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        record = args.func(args)
+        print(json.dumps(record, sort_keys=True) if args.json else "\n".join(_text_lines(record)))
+        return 1 if record.get("result") == "discrepancy" else 0
+    except tuple(_ERRORS) as exc:
+        kind, code = next(value for cls, value in _ERRORS.items() if isinstance(exc, cls))
+        message = str(exc)
+        if kind == "depth":
+            message = f"formula nested too deeply (Python recursion limit {sys.getrecursionlimit()})"
+        print(f"error: {message}", file=sys.stderr)
+        if args.json:
+            record = {"command": args.command, "result": "error", "kind": kind, "message": message}
+            print(json.dumps(record, sort_keys=True))
+        return code
 
 
 if __name__ == "__main__":

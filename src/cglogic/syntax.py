@@ -146,6 +146,8 @@ class Top(Formula):
 
 
 class Atom(Formula):
+    """An atom; its name is an identifier of the text grammar other than a keyword."""
+
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
@@ -153,6 +155,10 @@ class Atom(Formula):
         key = ("Atom", name)
         node = _TABLE.get(key, _MISSING)()
         if node is None:
+            # An ASCII identifier is exactly a match of the tokenizer's ident pattern.
+            readable = isinstance(name, str) and name.isascii() and name.isidentifier()
+            if not readable or name in _KEYWORDS:
+                raise ValueError(f"atom name {name!r} is not an identifier")
             node = _node(cls, 0, -1, hash(key))
             _set_name(node, name)
             node = _intern(key, node)
@@ -200,13 +206,20 @@ class And(Formula):
 
 
 class Coal(Formula):
-    """``<C> child``: some available joint action of coalition C ensures child."""
+    """``<C> child``: some available joint action of coalition C ensures child.
+
+    C is a set of agent numbers: ints (not bools) >= 0.  They are checked
+    before the intern lookup, as ``frozenset({True}) == frozenset({1})``.
+    """
 
     __slots__ = ("coalition", "child")
     __match_args__ = ("coalition", "child")
 
     def __new__(cls, coalition, child: Formula):
         coalition = frozenset(coalition)
+        for member in coalition:
+            if type(member) is not int or member < 0:
+                raise ValueError(f"coalition member {member!r} is not an agent number")
         key = ("Coal", coalition, id(child))
         node = _TABLE.get(key, _MISSING)()
         if node is None:

@@ -21,6 +21,88 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Each row: argv (a leading "@/" names a file in the test's temporary
+# directory, which the replies print as "@"), then the exact text reply and
+# the exact --json reply.  The mc and props rows read the model of the gen row.
+_GEN = ["gen", "--logic", "SI", "--seed", "3", "--out", "@/gen.json"]
+GOLDEN_REPLIES = {
+    "check": (
+        ["check", "--logic", "E", "--agents", "2", "<0>p -> <0,1>p"],
+        "valid\n",
+        '{"agents": 2, "command": "check", "formula": "~(<0> p & ~<0,1> p)", "logic": "E",'
+        ' "result": "valid"}\n',
+    ),
+    "check-trace": (
+        ["check", "--logic", "E", "--agents", "2", "--trace", "(<0>p -> <0,1>p) & ((q | ~q) | <1>r)"],
+        "clause 0: ~(~false & ~~((<> true & <0> p) & ~~(~<0,1> false & ~<0,1> p)))"
+        " :: neat antecedent indices [0, 1], consequent index 1, reduced to ~((true & p) & ~p)\n"
+        "clause 1: ~(~~(~q & ~~q) & ~~(true & ~~(~<0,1> false & ~<1> r))) :: gamma is a tautology\n"
+        "valid\n",
+        '{"agents": 2, "command": "check", "formula": "(~(<0> p & ~<0,1> p) & ~(~~(~q & ~~q) & ~<1> r))",'
+        ' "logic": "E", "result": "valid", "trace": ["clause 0: ~(~false & ~~((<> true & <0> p)'
+        ' & ~~(~<0,1> false & ~<0,1> p))) :: neat antecedent indices [0, 1], consequent index 1,'
+        ' reduced to ~((true & p) & ~p)", "clause 1: ~(~~(~q & ~~q) & ~~(true & ~~(~<0,1> false'
+        ' & ~<1> r))) :: gamma is a tautology"]}\n',
+    ),
+    "check-trace-invalid": (
+        ["check", "--logic", "S", "--agents", "2", "--trace", "(<0>p & <1>q) -> <0,1>(p & q) | r"],
+        "clause 0: ~(~r & ~~(((<> true & <0> p) & <1> q) & ~~(~<0,1> false & ~<0,1> (p & q))))"
+        " :: no reduction witness (clause invalid)\ninvalid\n",
+        '{"agents": 2, "command": "check", "formula": "~((<0> p & <1> q) & ~~(~<0,1> (p & q) & ~r))",'
+        ' "logic": "S", "result": "invalid", "trace": ["clause 0: ~(~r & ~~(((<> true & <0> p) & <1> q)'
+        ' & ~~(~<0,1> false & ~<0,1> (p & q)))) :: no reduction witness (clause invalid)"]}\n',
+    ),
+    "sat": (
+        ["sat", "--logic", "SID", "--agents", "1", "<0>p & ~<*>p"],
+        "unsatisfiable\n",
+        '{"agents": 1, "command": "sat", "formula": "(<0> p & ~<0> p)", "logic": "SID",'
+        ' "result": "unsatisfiable"}\n',
+    ),
+    "sat-model": (
+        ["sat", "--logic", "E", "--agents", "2", "--model", "@/model.json", "<0>p & <1>~p"],
+        "satisfiable\nmodel written to @/model.json\n",
+        '{"agents": 2, "command": "sat", "formula": "(<0> p & <1> ~p)", "logic": "E",'
+        ' "model": "@/model.json", "pointed": "s0", "result": "satisfiable"}\n',
+    ),
+    "gen": (
+        _GEN,
+        "wrote @/gen.json: 4 states, 2 actions, 2 agents (SI-model, seed 3)\n",
+        '{"actions": 2, "agents": 2, "command": "gen", "logic": "SI", "out": "@/gen.json",'
+        ' "seed": 3, "states": 4}\n',
+    ),
+    "mc": (
+        ["mc", "@/gen.json", "s2", "<0>p | [1]q"],
+        "true\n",
+        '{"command": "mc", "formula": "~(~<0> p & ~~<1> ~q)", "model": "@/gen.json",'
+        ' "result": "true", "state": "s2"}\n',
+    ),
+    "props": (
+        ["props", "@/gen.json"],
+        "serial=true independent=true deterministic=false\n",
+        '{"command": "props", "deterministic": false, "independent": true, "model": "@/gen.json",'
+        ' "serial": true}\n',
+    ),
+    "fuzz": (
+        ["fuzz", "--logic", "SID", "--iters", "5", "--seed", "7", "--bundle", "@/bundle.json"],
+        "ok: 5 iterations, no discrepancy\n",
+        '{"command": "fuzz", "iters": 5, "logic": "SID", "result": "ok", "seed": 7}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", list(GOLDEN_REPLIES))
+def test_golden_replies(capsys, tmp_path, name, as_json):
+    argv, text, record = GOLDEN_REPLIES[name]
+    tmp = str(tmp_path)
+    if name in ("mc", "props"):
+        assert run(capsys, *(arg.replace("@", tmp) for arg in _GEN))[0] == 0
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, *flags, *(arg.replace("@", tmp) for arg in argv))
+    assert (code, err) == (0, "")
+    assert out.replace(tmp, "@") == (record if as_json else text)
+
+
 def test_check_valid(capsys):
     code, out, _ = run(capsys, "check", "--logic", "SID", "--agents", "2", "~<*>false")
     assert code == 0 and out.strip() == "valid"
@@ -247,6 +329,40 @@ def test_fuzz_rejects_negative_counts(capsys, tmp_path, monkeypatch, option):
     assert err.strip() == f"error: {option} must be >= 0, got -1"
 
 
+@pytest.mark.parametrize(
+    "argv,kind,expected_code",
+    [
+        (["check", "--logic", "E", "--agents", "1", "p &"], "parse", 2),
+        (["mc", "@/loop.json", "zz", "p"], "model", 2),
+        (["props", "@/missing.json"], "file", 2),
+        (["check", "--logic", "XYZ", "--agents", "1", "p"], "usage", 2),
+        (["fuzz", "--logic", "E", "--iters", "-1"], "usage", 2),
+        (["check", "--logic", "E", "--agents", "1", " | ".join(f"(x{i} & y{i})" for i in range(18)) + " | <0>z"],
+         "clause_cap", 3),
+        (["gen", "--logic", "E", "--agents", "40", "--out", "@/gen.json"], "profile_cap", 3),
+        (["sat", "--logic", "S", "--agents", "1", "<0>" * 1200 + "p"], "depth", 3),
+    ],
+    ids=["parse", "model", "file", "usage-logic", "usage-count", "clause_cap", "profile_cap", "depth"],
+)
+def test_errors_are_records_under_json(capsys, tmp_path, argv, kind, expected_code):
+    # Each error prints one line on stderr; under --json, stdout also carries
+    # exactly one record of the error's kind, with the same message.
+    save_model(helpers.loop_model(), str(tmp_path / "loop.json"))
+    argv = [arg.replace("@", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected_code, "") and err.startswith("error: ")
+    code, out, json_err = run(capsys, "--json", *argv)
+    assert (code, json_err) == (expected_code, err)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": argv[0],
+        "result": "error",
+        "kind": kind,
+        "message": err[len("error: "):-1],
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json"]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "check", "--logic", "SID", "--agents", "2", "p &")
     assert code == 2 and "error" in err
@@ -352,7 +468,8 @@ def test_deep_nesting_exit_code(capsys, command):
     # `check` and `sat` reach the innermost modality.
     argv = [command, "--logic", "S", "--agents", "1", "<0>" * 1200 + "p"]
     code, out, err = run(capsys, "--json", *argv)
-    assert code == 3 and out == ""
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out)["kind"] == "depth"
     assert err.startswith("error: formula nested too deeply")
 
 

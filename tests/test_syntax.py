@@ -236,6 +236,23 @@ def test_copies_and_pickles_return_the_node():
     assert repr(Coal({0}, P)) == "Coal(coalition=frozenset({0}), child=Atom(name='p'))"
 
 
+@pytest.mark.parametrize("coalition", [{-1}, {True}, {"a"}, {1.0}, {0, -2}], ids=repr)
+def test_coalition_members_must_be_agent_numbers(coalition):
+    # Agent -1 would index the last agent, and {True} would find the {1} node.
+    with pytest.raises(ValueError, match="not an agent number"):
+        Coal(coalition, P)
+    assert Coal(frozenset(), P).coalition == frozenset()
+    assert Coal({1}, P).coalition == frozenset({1})
+
+
+@pytest.mark.parametrize("name", [5, "true", "false", "p q", "", "1p", "p-q", "p\n", None], ids=repr)
+def test_atom_names_must_read_back(name):
+    # render(f) must parse back to f: Atom("true") printed as the constant.
+    with pytest.raises(ValueError, match="not an identifier"):
+        Atom(name)
+    assert parse(render(Atom("_p1")), 1) is Atom("_p1")
+
+
 def test_nodes_are_immutable():
     f = Coal({0}, Not(P))
     for name in ("child", "coalition", "depth", "agent_bound", "fresh"):
